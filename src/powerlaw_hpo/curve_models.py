@@ -315,7 +315,7 @@ def fit_single_curve(
             params = _initial_guess(formulation, y, b, rng, jitter=attempt > 0)
             # extreme observations can push a guess out of float range
             params = np.clip(np.nan_to_num(params), -1e3, 1e3)
-            state = AdamState.for_params([params], lr=cfg.lr)
+            state = AdamState.for_params(params, lr=cfg.lr)
             for epoch in range(cfg.max_epochs):
                 state.lr = cfg.lr * 0.5 * (1.0 + math.cos(math.pi * epoch / cfg.max_epochs))
                 vals, jac = _internal_values_jac(formulation, params, b)
@@ -333,7 +333,7 @@ def fit_single_curve(
                 if not np.all(np.isfinite(grad)):
                     diverged = True
                     break
-                adam_step([params], [grad], state)
+                adam_step(params, grad, state)
             if best_loss < 1e-10:
                 break
     if best_params is None:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .benchmarks import BenchmarkTable
+from .benchmarks import BenchmarkFormatError, BenchmarkTable
 from .curve_models import FitConfig, Formulation, fit_single_curve, predict
 from .surrogate import (
     ConditionedNetwork,
@@ -92,11 +92,23 @@ def run_forecast_experiment(
     predictions target the loss at full budget.  The shared models (DPL and
     the conditioned NN) train once over all configs with the initial-fit
     epoch count; the per-curve power law fits each curve independently.
+
+    Tables with fewer than 2 configs (nothing to rank) or curves shorter
+    than 2 steps (nothing to fit) raise BenchmarkFormatError.  When all
+    predictions tie, no ranking exists and the report carries
+    ``spearman = nan``.
     """
     if not 0.0 < observed_fraction < 1.0:
         raise ValueError(f"observed_fraction must be in (0, 1), got {observed_fraction}")
+    if table.n_configs < 2:
+        raise BenchmarkFormatError(
+            f"configs: forecasting ranks configurations and needs at least 2, got {table.n_configs}"
+        )
+    if table.b_max < 2:
+        raise BenchmarkFormatError(
+            f"b_max: forecasting needs curves of at least 2 steps, got {table.b_max}"
+        )
     observed_steps = max(2, math.ceil(observed_fraction * table.b_max))
-    observed_steps = min(observed_steps, table.b_max)
     true_final = table.loss_curves[:, -1].copy()
 
     if model is ForecastModel.PER_CURVE_POWER_LAW:
@@ -135,6 +147,6 @@ def run_forecast_experiment(
         seed=seed,
         predicted_final=preds,
         true_final=true_final,
-        spearman=spearman(preds, true_final),
+        spearman=math.nan if np.ptp(preds) == 0 else spearman(preds, true_final),
         mean_abs_rel_error=float(np.mean(rel_err)),
     )

@@ -112,9 +112,9 @@ class RunContext:
     """Budget accounting, history and trajectory recording for one run.
 
     Step costs are incremental: advancing a configuration charges only the
-    steps beyond its previous high-water mark, and a lookup at or below
-    that mark is free (the curve prefix was already paid for).  No
-    evaluation may exceed the total step budget.
+    steps beyond its previous high-water mark (its highest budget in the
+    history), and a lookup at or below that mark is free (the curve prefix
+    was already paid for).  No evaluation may exceed the total step budget.
     """
 
     def __init__(self, table: BenchmarkTable, settings: RunSettings, method: str):
@@ -122,7 +122,6 @@ class RunContext:
         self.settings = settings
         self.total_step_budget = settings.resolve_budget(table)
         self.steps_consumed = 0
-        self.high_water: dict[int, int] = {}
         self.history = History()
         best = config_best_losses(table)
         span = float(best.max() - best.min())
@@ -145,7 +144,7 @@ class RunContext:
         return time.process_time() - self._t0 if self.settings.record_wall_time else 0.0
 
     def cost_of(self, config_id: int, budget: int) -> int:
-        return max(0, budget - self.high_water.get(config_id, 0))
+        return max(0, budget - self.history.max_budget_for(config_id))
 
     def can_afford(self, config_id: int, budget: int) -> bool:
         return self.steps_consumed + self.cost_of(config_id, budget) <= self.total_step_budget
@@ -171,7 +170,6 @@ class RunContext:
                 f"the step budget ({self.steps_consumed}+{cost}>{self.total_step_budget})"
             )
         self.steps_consumed += cost
-        self.high_water[config_id] = budget
         self.history.append(Observation(config_id=config_id, budget=budget, loss=loss))
         self._incumbent = min(self._incumbent, loss)
         self.trajectory.points.append(
@@ -189,7 +187,7 @@ class RunContext:
         return [
             Candidate(config_id=cid, scaled_vector=self.table.scaled_values[i])
             for i, cid in enumerate(self.table.config_ids)
-            if self.high_water.get(cid, 0) < self.table.b_max
+            if self.history.max_budget_for(cid) < self.table.b_max
         ]
 
 

@@ -17,32 +17,29 @@ from dataclasses import dataclass, field
 import numpy as np
 
 DEFAULT_LEAKY_SLOPE = 0.01
+# Adam's standard moment decay rates and denominator guard
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
 
 
-def sigmoid(x):
-    """Numerically stable logistic sigmoid (scalar or array)."""
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    """Numerically stable logistic sigmoid of an array."""
     x = np.asarray(x, dtype=float)
     out = np.empty_like(x)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
-    if out.ndim == 0:
-        return float(out)
     return out
 
 
-def glu_gate(a, g):
-    """Gated linear unit: ``a * sigmoid(g)``."""
-    return a * sigmoid(g)
+def leaky_relu(x):
+    return np.where(x >= 0, x, DEFAULT_LEAKY_SLOPE * x)
 
 
-def leaky_relu(x, slope=DEFAULT_LEAKY_SLOPE):
-    return np.where(x >= 0, x, slope * x)
-
-
-def _leaky_relu_grad(x, slope):
-    return np.where(x >= 0, 1.0, slope)
+def _leaky_relu_grad(x):
+    return np.where(x >= 0, 1.0, DEFAULT_LEAKY_SLOPE)
 
 
 def _layer_slices(layer_dims: tuple[int, ...]) -> tuple[list[tuple], int]:
@@ -78,41 +75,18 @@ class DenseNetwork:
     flat_params: np.ndarray
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-    leaky_slope: float = DEFAULT_LEAKY_SLOPE
 
     @classmethod
-    def create(cls, layer_dims, seed, leaky_slope=DEFAULT_LEAKY_SLOPE) -> "DenseNetwork":
+    def create(cls, layer_dims, seed) -> "DenseNetwork":
         dims = tuple(int(d) for d in layer_dims)
         if len(dims) < 2 or any(d <= 0 for d in dims):
             raise ValueError(f"layer_dims must be >= 2 positive entries, got {dims}")
         _, size = _layer_slices(dims)
         flat = np.zeros(size)
         weights, biases = _views(flat, dims)
-        net = cls(
-            layer_dims=dims,
-            flat_params=flat,
-            weights=weights,
-            biases=biases,
-            leaky_slope=leaky_slope,
-        )
+        net = cls(layer_dims=dims, flat_params=flat, weights=weights, biases=biases)
         init_weights(net, seed)
         return net
-
-    def parameters(self) -> list[np.ndarray]:
-        """Per-layer parameter views, weights and biases interleaved."""
-        out: list[np.ndarray] = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
-
-    def n_params(self) -> int:
-        return self.flat_params.size
-
-    def copy(self) -> "DenseNetwork":
-        flat = self.flat_params.copy()
-        weights, biases = _views(flat, self.layer_dims)
-        return DenseNetwork(self.layer_dims, flat, weights, biases, self.leaky_slope)
 
 
 def init_weights(net: DenseNetwork, seed) -> DenseNetwork:
@@ -154,7 +128,7 @@ def forward(net: DenseNetwork, inputs) -> tuple[np.ndarray, ForwardCache]:
         z = x @ w
         z += b
         pre_activations.append(z)
-        x = leaky_relu(z, net.leaky_slope) if i < n_layers - 1 else z
+        x = leaky_relu(z) if i < n_layers - 1 else z
         if i < n_layers - 1:
             layer_inputs.append(x)
     cache = ForwardCache(layer_inputs, pre_activations, single)
@@ -165,26 +139,20 @@ def forward(net: DenseNetwork, inputs) -> tuple[np.ndarray, ForwardCache]:
 class GradientBundle:
     """Per-parameter gradients, shape-congruent with a DenseNetwork.
 
-    May be backed by a flat buffer (``flat`` is then the concatenated
-    gradient) so optimizers can treat the whole network as one vector.
+    ``weights``/``biases`` are views into ``flat``, laid out like the
+    network's ``flat_params``, so optimizers see the whole gradient as
+    one vector.
     """
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-    flat: np.ndarray | None = None
+    flat: np.ndarray
 
     @classmethod
     def zeros_for(cls, net: DenseNetwork) -> "GradientBundle":
         flat = np.zeros_like(net.flat_params)
         weights, biases = _views(flat, net.layer_dims)
         return cls(weights=weights, biases=biases, flat=flat)
-
-    def arrays(self) -> list[np.ndarray]:
-        out: list[np.ndarray] = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
 
 
 def backward(
@@ -210,7 +178,7 @@ def backward(
         np.sum(g, axis=0, out=bundle.biases[i])
         if i > 0:
             g = g @ net.weights[i].T
-            g *= _leaky_relu_grad(cache.pre_activations[i - 1], net.leaky_slope)
+            g *= _leaky_relu_grad(cache.pre_activations[i - 1])
     return bundle
 
 
@@ -228,54 +196,42 @@ def l1_loss(predictions, targets) -> tuple[float, np.ndarray]:
 
 @dataclass
 class AdamState:
-    """Adam optimizer moments for a flat list of parameter arrays."""
+    """Adam optimizer moments for one flat parameter vector."""
 
-    first_moment: list[np.ndarray]
-    second_moment: list[np.ndarray]
+    first_moment: np.ndarray
+    second_moment: np.ndarray
     step_count: int = 0
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    _scratch: list[np.ndarray] = field(default_factory=list, repr=False)
+    _scratch: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self._scratch = np.empty_like(self.first_moment)
 
     @classmethod
-    def for_params(cls, params: list[np.ndarray], lr: float = 1e-3, **kwargs) -> "AdamState":
-        return cls(
-            first_moment=[np.zeros_like(p) for p in params],
-            second_moment=[np.zeros_like(p) for p in params],
-            lr=lr,
-            **kwargs,
-        )
+    def for_params(cls, param: np.ndarray, lr: float = 1e-3) -> "AdamState":
+        return cls(first_moment=np.zeros_like(param), second_moment=np.zeros_like(param), lr=lr)
 
 
-def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamState):
-    """One bias-corrected Adam update, applied to the arrays in place."""
-    if len(params) != len(grads) or len(params) != len(state.first_moment):
-        raise ValueError("params/grads/state length mismatch")
-    if not state._scratch:
-        state._scratch = [np.empty_like(p) for p in params]
+def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState) -> None:
+    """One bias-corrected Adam update, applied to ``param`` in place."""
+    if param.shape != grad.shape:
+        raise ValueError(f"gradient shape {grad.shape} does not match parameter {param.shape}")
     state.step_count += 1
     t = state.step_count
-    bc1 = 1.0 - state.beta1**t
-    bc2 = 1.0 - state.beta2**t
+    bc1 = 1.0 - ADAM_BETA1**t
+    bc2 = 1.0 - ADAM_BETA2**t
     scale = state.lr / bc1
-    for p, g, m, v, s in zip(
-        params, grads, state.first_moment, state.second_moment, state._scratch
-    ):
-        if p.shape != g.shape:
-            raise ValueError(f"gradient shape {g.shape} does not match parameter {p.shape}")
-        m *= state.beta1
-        np.multiply(g, 1.0 - state.beta1, out=s)
-        m += s
-        v *= state.beta2
-        np.multiply(g, g, out=s)
-        s *= 1.0 - state.beta2
-        v += s
-        np.divide(v, bc2, out=s)
-        np.sqrt(s, out=s)
-        s += state.epsilon
-        np.divide(m, s, out=s)
-        s *= scale
-        p -= s
-    return params, state
+    m, v, s = state.first_moment, state.second_moment, state._scratch
+    m *= ADAM_BETA1
+    np.multiply(grad, 1.0 - ADAM_BETA1, out=s)
+    m += s
+    v *= ADAM_BETA2
+    np.multiply(grad, grad, out=s)
+    s *= 1.0 - ADAM_BETA2
+    v += s
+    np.divide(v, bc2, out=s)
+    np.sqrt(s, out=s)
+    s += ADAM_EPSILON
+    np.divide(m, s, out=s)
+    s *= scale
+    param -= s

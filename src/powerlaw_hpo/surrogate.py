@@ -21,6 +21,7 @@ from .neural_core import (
     backward,
     forward,
     init_weights,
+    l1_loss,
     sigmoid,
 )
 
@@ -140,13 +141,13 @@ class DplNetwork:
         dims = (self.hp_dim,) + (hidden_width,) * N_HIDDEN_LAYERS + (RAW_HEAD_WIDTH,)
         self.body = DenseNetwork.create(dims, seed)
         # optimizing the whole network as one flat vector keeps updates cheap
-        self.adam = AdamState.for_params([self.body.flat_params])
+        self.adam = AdamState.for_params(self.body.flat_params)
         self._grad = GradientBundle.zeros_for(self.body)
         self.init_seed = seed
 
     def reinitialize(self, seed) -> None:
         init_weights(self.body, seed)
-        self.adam = AdamState.for_params([self.body.flat_params])
+        self.adam = AdamState.for_params(self.body.flat_params)
         self.init_seed = seed
 
     def predict(self, configs: np.ndarray, b_norm) -> np.ndarray:
@@ -167,20 +168,18 @@ class DplNetwork:
         raw, cache = forward(self.body, x)
         with np.errstate(over="ignore", invalid="ignore"):
             pred, head_cache = _power_law_head(raw, b)
-            diff = pred - y
-            loss = float(np.mean(np.abs(diff)))
+            loss, d_pred = l1_loss(pred, y)
             if not math.isfinite(loss):
                 return loss
-            d_pred = np.sign(diff) / diff.size
             d_raw = _power_law_head_backward(head_cache, d_pred)
         backward(self.body, cache, d_raw, out=self._grad)
-        adam_step([self.body.flat_params], [self._grad.flat], self.adam)
+        adam_step(self.body.flat_params, self._grad.flat, self.adam)
         return loss
 
     def full_loss(self, data: TrainingData) -> float:
         pred = self.predict(data.configs, data.budgets)
         with np.errstate(invalid="ignore"):
-            return float(np.mean(np.abs(pred - data.losses)))
+            return l1_loss(pred, data.losses)[0]
 
 
 class ConditionedNetwork:
@@ -191,13 +190,13 @@ class ConditionedNetwork:
         self.hp_dim = int(hp_dim)
         dims = (self.hp_dim + 1,) + (hidden_width,) * N_HIDDEN_LAYERS + (1,)
         self.body = DenseNetwork.create(dims, seed)
-        self.adam = AdamState.for_params([self.body.flat_params])
+        self.adam = AdamState.for_params(self.body.flat_params)
         self._grad = GradientBundle.zeros_for(self.body)
         self.init_seed = seed
 
     def reinitialize(self, seed) -> None:
         init_weights(self.body, seed)
-        self.adam = AdamState.for_params([self.body.flat_params])
+        self.adam = AdamState.for_params(self.body.flat_params)
         self.init_seed = seed
 
     def _stack(self, configs: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -219,19 +218,17 @@ class ConditionedNetwork:
         x = self._stack(data.configs[idx], data.budgets[idx])
         y = data.losses[idx]
         out, cache = forward(self.body, x)
-        diff = out[:, 0] - y
-        loss = float(np.mean(np.abs(diff)))
+        loss, d_pred = l1_loss(out[:, 0], y)
         if not math.isfinite(loss):
             return loss
-        d_out = (np.sign(diff) / diff.size)[:, None]
-        backward(self.body, cache, d_out, out=self._grad)
-        adam_step([self.body.flat_params], [self._grad.flat], self.adam)
+        backward(self.body, cache, d_pred[:, None], out=self._grad)
+        adam_step(self.body.flat_params, self._grad.flat, self.adam)
         return loss
 
     def full_loss(self, data: TrainingData) -> float:
         pred = self.predict(data.configs, data.budgets)
         with np.errstate(invalid="ignore"):
-            return float(np.mean(np.abs(pred - data.losses)))
+            return l1_loss(pred, data.losses)[0]
 
 
 def member_init_seed(ensemble_seed: int, member_index: int, init_round: int) -> list[int]:
@@ -388,34 +385,6 @@ class DplEnsemble:
         return mean, var
 
 
-def predict_member(member: DplNetwork, config, b_norm: float) -> float:
-    """Single-member prediction at one (config, normalized budget) point."""
-    return float(member.predict(np.atleast_2d(config), b_norm)[0])
-
-
-def fit_initial(ensemble: DplEnsemble, data: TrainingData, schedule: TrainerSchedule) -> float:
-    return ensemble.fit_initial(data, schedule)
-
-
-def refine(
-    ensemble: DplEnsemble,
-    data: TrainingData,
-    newest_index: int,
-    schedule: TrainerSchedule,
-    batch_log: list | None = None,
-) -> float:
-    return ensemble.refine(data, newest_index, schedule, batch_log=batch_log)
-
-
-def posterior(ensemble: DplEnsemble, config, b_norm: float) -> Posterior:
-    return ensemble.posterior(config, b_norm)
-
-
-def predict_conditioned_nn(network: ConditionedNetwork, config, b_norm: float) -> float:
-    """Prediction of the conditioned plain-NN variant at one point."""
-    return float(network.predict(np.atleast_2d(config), b_norm)[0])
-
-
 SNAPSHOT_VERSION = 1
 
 
@@ -429,8 +398,8 @@ def ensemble_snapshot(ensemble: DplEnsemble, schedule: TrainerSchedule) -> dict:
                 "layer_dims": list(m.body.layer_dims),
                 "params": m.body.flat_params.tolist(),
                 "adam": {
-                    "first_moment": m.adam.first_moment[0].tolist(),
-                    "second_moment": m.adam.second_moment[0].tolist(),
+                    "first_moment": m.adam.first_moment.tolist(),
+                    "second_moment": m.adam.second_moment.tolist(),
                     "step_count": m.adam.step_count,
                     "lr": m.adam.lr,
                 },
@@ -483,8 +452,8 @@ def ensemble_from_snapshot(doc: dict) -> tuple[DplEnsemble, TrainerSchedule]:
         member.body.flat_params[...] = np.asarray(mdoc["params"], dtype=float)
         adam = mdoc["adam"]
         member.adam = AdamState(
-            first_moment=[np.asarray(adam["first_moment"], dtype=float)],
-            second_moment=[np.asarray(adam["second_moment"], dtype=float)],
+            first_moment=np.asarray(adam["first_moment"], dtype=float),
+            second_moment=np.asarray(adam["second_moment"], dtype=float),
             step_count=adam["step_count"],
             lr=adam["lr"],
         )

@@ -37,7 +37,7 @@ def dpl_analytic_gradient(member, x, b, y) -> np.ndarray:
     d_pred = np.sign(diff) / diff.size
     d_raw = _power_law_head_backward(head_cache, d_pred)
     bundle = backward(member.body, cache, d_raw)
-    return np.concatenate([a.ravel() for a in bundle.arrays()])
+    return bundle.flat
 
 
 def max_relative_error(analytic: np.ndarray, numeric: np.ndarray, floor: float = 1e-4) -> float:

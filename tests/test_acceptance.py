@@ -38,7 +38,7 @@ from powerlaw_hpo.forecasting import ForecastModel, run_forecast_experiment
 from powerlaw_hpo.history import History, Observation
 from powerlaw_hpo.hpo_loop import RunContext, RunSettings, incumbent_regret, run_dpl
 from powerlaw_hpo.neural_core import forward
-from powerlaw_hpo.surrogate import DplEnsemble, DplNetwork, posterior, predict_member
+from powerlaw_hpo.surrogate import DplEnsemble, DplNetwork
 
 from helpers import dpl_analytic_gradient, dpl_loss, max_relative_error, numeric_gradient
 
@@ -112,16 +112,16 @@ def test_criterion_2_curve_model_identities():
             config = rng.uniform(0, 1, 3)
             raw, _ = forward(member.body, config[None, :])
             sig = 1.0 / (1.0 + np.exp(-raw[0, 2]))
-            assert abs(predict_member(member, config, 1.0) - (raw[0, 0] + raw[0, 1] * sig)) <= 1e-12
+            assert abs(float(member.predict(config, 1.0)[0]) - (raw[0, 0] + raw[0, 1] * sig)) <= 1e-12
 
 
 def test_criterion_3_posterior_statistics():
     with _criterion(3, "ensemble posterior mean/variance arithmetic"):
-        p = posterior(_fixed_ensemble([0.2, 0.4]), np.zeros(2), 1.0)
+        p = _fixed_ensemble([0.2, 0.4]).posterior(np.zeros(2), 1.0)
         assert abs(p.mean - 0.3) <= 1e-12 and abs(p.variance - 0.01) <= 1e-12
-        p = posterior(_fixed_ensemble([1.0, 2.0, 3.0]), np.zeros(2), 1.0)
+        p = _fixed_ensemble([1.0, 2.0, 3.0]).posterior(np.zeros(2), 1.0)
         assert abs(p.mean - 2.0) <= 1e-12 and abs(p.variance - 2.0 / 3.0) <= 1e-12
-        p = posterior(_fixed_ensemble([0.7, 0.7, 0.7, 0.7, 0.7]), np.zeros(2), 1.0)
+        p = _fixed_ensemble([0.7, 0.7, 0.7, 0.7, 0.7]).posterior(np.zeros(2), 1.0)
         assert p.variance == 0.0
 
 

@@ -162,6 +162,19 @@ class TestForecast:
             ])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "configs, b_max, field", [(1, 5, "configs"), (4, 1, "b_max")]
+    )
+    def test_table_too_small_exits_3(self, tmp_path, capsys, configs, b_max, field):
+        bench = tmp_path / "bench.json"
+        main(_synth_args(bench, configs=configs, b_max=b_max))
+        code = main([
+            "forecast", "--benchmark", str(bench), "--fractions", "0.5",
+            "--models", "pl,dpl,condnn", "--seeds", "0", "--out", str(tmp_path / "fc.csv"),
+        ])
+        assert code == 3
+        assert f"error: {field}: " in capsys.readouterr().err
+
     def test_rerun_bit_identical(self, tmp_path):
         bench = tmp_path / "bench.json"
         main(_synth_args(bench, configs=6, b_max=5))

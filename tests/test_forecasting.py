@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from powerlaw_hpo import forecasting
 from powerlaw_hpo.benchmarks import generate_synthetic
 from powerlaw_hpo.forecasting import (
     ForecastModel,
@@ -104,3 +107,15 @@ class TestForecastExperiment:
         b = run_forecast_experiment(noiseless_table, 0.4, ForecastModel.DPL, seed=3)
         assert np.array_equal(a.predicted_final, b.predicted_final)
         assert a.spearman == b.spearman
+
+    def test_tied_predictions_report_nan(self, noiseless_table, monkeypatch):
+        # a diverged shared model predicts NaN everywhere; pinned to 1e30,
+        # every prediction ties and no ranking exists
+        def diverge(member, *args, **kwargs):
+            member.body.flat_params[...] = np.nan
+            return math.inf
+
+        monkeypatch.setattr(forecasting, "train_member_epochs", diverge)
+        report = run_forecast_experiment(noiseless_table, 0.3, ForecastModel.DPL, seed=0)
+        assert np.all(report.predicted_final == 1e30)
+        assert math.isnan(report.spearman)

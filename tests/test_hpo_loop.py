@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from powerlaw_hpo.baselines import BASELINE_RUNNERS
 from powerlaw_hpo.benchmarks import evaluate, generate_synthetic, oracle
 from powerlaw_hpo.history import History, Observation
 from powerlaw_hpo.hpo_loop import (
@@ -9,7 +12,7 @@ from powerlaw_hpo.hpo_loop import (
     incumbent_regret,
     run_dpl,
 )
-from powerlaw_hpo.surrogate import TrainerSchedule
+from powerlaw_hpo.surrogate import DplEnsemble, TrainerSchedule
 
 
 def _fast_schedule(b_max):
@@ -199,3 +202,47 @@ class TestTrajectory:
         times = [p.wall_time for p in traj.points]
         assert all(a <= b for a, b in zip(times, times[1:]))
         assert times[-1] > 0.0
+
+
+def _run_method(method, table, run_settings):
+    if method != "dpl":
+        return BASELINE_RUNNERS[method](table, run_settings)
+    # a fresh schedule per run: it carries the stagnation counter
+    schedule = TrainerSchedule.for_curve_length(
+        table.b_max, initial_epochs=3, refine_epochs=2, initial_phase_iterations=2
+    )
+    return run_dpl(
+        table,
+        run_settings,
+        make_ensemble=lambda hp_dim, seed: DplEnsemble(hp_dim, seed, n_members=2, hidden_width=8),
+        schedule=schedule,
+    )
+
+
+class TestLoopInvariants:
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(
+        n_configs=st.sampled_from([1, 2, 5]),
+        b_max=st.sampled_from([1, 2, 4]),
+        hp_dim=st.sampled_from([1, 3]),
+        multiplier=st.sampled_from([1, 3, 50]),
+        b_step=st.sampled_from([1, 3]),
+        method=st.sampled_from(["dpl", *BASELINE_RUNNERS]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_every_method_keeps_the_invariants(
+        self, n_configs, b_max, hp_dim, multiplier, b_step, method, seed
+    ):
+        table = generate_synthetic(
+            seed=seed, n_configs=n_configs, hp_dim=hp_dim, b_max=b_max, noise_std=0.01
+        )
+        run_settings = RunSettings(seed=seed, b_step=b_step, budget_multiplier=multiplier)
+        traj = _run_method(method, table, run_settings)
+        steps = [p.steps_consumed for p in traj.points]
+        incumbents = [p.incumbent_loss for p in traj.points]
+        assert steps, "every method observes at least one configuration"
+        assert steps[-1] <= run_settings.resolve_budget(table)
+        assert all(a < b for a, b in zip(steps, steps[1:]))
+        assert all(a >= b for a, b in zip(incumbents, incumbents[1:]))
+        assert all(p.incumbent_regret >= 0.0 for p in traj.points)
+        assert _run_method(method, table, run_settings).to_rows() == traj.to_rows()

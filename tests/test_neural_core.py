@@ -7,7 +7,6 @@ from powerlaw_hpo.neural_core import (
     adam_step,
     backward,
     forward,
-    glu_gate,
     init_weights,
     l1_loss,
     leaky_relu,
@@ -68,7 +67,7 @@ class TestBackward:
         net = DenseNetwork.create((3, 4, 2), seed=2)
         _, cache = forward(net, np.ones(3))
         bundle = backward(net, cache, np.zeros(2))
-        assert all(np.all(a == 0) for a in bundle.arrays())
+        assert np.all(bundle.flat == 0)
 
     def test_matches_finite_differences_through_l1(self):
         # invariant: forward -> L1 -> backward agrees with central differences
@@ -86,7 +85,7 @@ class TestBackward:
             out, cache = forward(net, x)
             _, dl = l1_loss(out, y)
             bundle = backward(net, cache, dl)
-            analytic = np.concatenate([a.ravel() for a in bundle.arrays()])
+            analytic = bundle.flat
             numeric = numeric_gradient(loss, net.flat_params)
             worst = max(worst, max_relative_error(analytic, numeric))
         assert worst < 1e-5
@@ -104,7 +103,7 @@ class TestBackward:
         out, cache = forward(net, x)
         _, dl = l1_loss(out, out.copy())
         bundle = backward(net, cache, dl)
-        assert all(np.all(a == 0) for a in bundle.arrays())
+        assert np.all(bundle.flat == 0)
 
 
 class TestL1Loss:
@@ -130,60 +129,45 @@ class TestL1Loss:
 
 class TestAdam:
     def test_zero_gradient_is_noop(self):
-        p = [np.array([1.0, -2.0])]
+        p = np.array([1.0, -2.0])
         state = AdamState.for_params(p)
-        before = p[0].copy()
-        adam_step(p, [np.zeros(2)], state)
-        assert np.array_equal(p[0], before)
+        before = p.copy()
+        adam_step(p, np.zeros(2), state)
+        assert np.array_equal(p, before)
         assert state.step_count == 1
 
     def test_first_step_moves_by_lr(self):
         # hand-computed: m_hat = g, v_hat = g^2 -> update lr*g/(|g|+eps)
-        p = [np.array([0.0])]
+        p = np.array([0.0])
         state = AdamState.for_params(p, lr=1e-3)
-        adam_step(p, [np.array([1.0])], state)
-        assert p[0][0] == pytest.approx(-1e-3, abs=1e-9)
+        adam_step(p, np.array([1.0]), state)
+        assert p[0] == pytest.approx(-1e-3, abs=1e-9)
 
     def test_decreases_quadratic(self):
-        p = [np.array([3.0])]
+        p = np.array([3.0])
         state = AdamState.for_params(p, lr=0.1)
         losses = []
         for _ in range(200):
-            losses.append(0.5 * p[0][0] ** 2)
-            adam_step(p, [p[0].copy()], state)
+            losses.append(0.5 * p[0] ** 2)
+            adam_step(p, p.copy(), state)
         assert losses[-1] < losses[0]
-        assert abs(p[0][0]) < 3.0
+        assert abs(p[0]) < 3.0
 
     def test_sign_symmetry_of_first_moment(self):
         g = np.array([0.37, -1.2])
-        pa, pb = [np.zeros(2)], [np.zeros(2)]
+        pa, pb = np.zeros(2), np.zeros(2)
         sa = AdamState.for_params(pa)
         sb = AdamState.for_params(pb)
-        adam_step(pa, [g], sa)
-        adam_step(pb, [-g], sb)
-        assert np.allclose(np.abs(sa.first_moment[0]), np.abs(sb.first_moment[0]))
-        assert np.allclose(pa[0], -pb[0])
+        adam_step(pa, g, sa)
+        adam_step(pb, -g, sb)
+        assert np.allclose(np.abs(sa.first_moment), np.abs(sb.first_moment))
+        assert np.allclose(pa, -pb)
 
     def test_shape_mismatch_rejected(self):
-        p = [np.zeros(3)]
+        p = np.zeros(3)
         state = AdamState.for_params(p)
         with pytest.raises(ValueError):
-            adam_step(p, [np.zeros(4)], state)
-
-
-class TestGluGate:
-    def test_gate_at_zero_halves(self):
-        assert glu_gate(1.0, 0.0) == pytest.approx(0.5)
-
-    def test_zero_value(self):
-        assert glu_gate(0.0, 123.0) == 0.0
-
-    def test_saturation(self):
-        assert glu_gate(2.0, 40.0) == pytest.approx(2.0, abs=1e-6)
-
-    def test_vectorized(self):
-        out = glu_gate(np.array([1.0, 2.0]), np.array([0.0, 0.0]))
-        assert np.allclose(out, [0.5, 1.0])
+            adam_step(p, np.zeros(4), state)
 
 
 class TestInitWeights:

@@ -15,9 +15,6 @@ from powerlaw_hpo.surrogate import (
     ensemble_from_snapshot,
     ensemble_snapshot,
     member_init_seed,
-    posterior,
-    predict_conditioned_nn,
-    predict_member,
     should_restart,
     snapshot_from_json,
     snapshot_to_json,
@@ -44,7 +41,7 @@ class TestPredictMember:
         member = DplNetwork(2, seed=0, hidden_width=8)
         member.body.flat_params[...] = 0.0
         for b in (0.1, 0.5, 1.0):
-            assert predict_member(member, np.array([0.3, 0.6]), b) == 0.0
+            assert float(member.predict(np.array([0.3, 0.6]), b)[0]) == 0.0
 
     def test_forced_raw_outputs(self):
         # raw = (1, 1, 40, 1, 40): saturated gates give beta=gamma~1, so
@@ -52,7 +49,7 @@ class TestPredictMember:
         member = DplNetwork(2, seed=0, hidden_width=8)
         member.body.flat_params[...] = 0.0
         member.body.biases[-1][...] = np.array([1.0, 1.0, 40.0, 1.0, 40.0])
-        assert predict_member(member, np.array([0.3, 0.6]), 1.0) == pytest.approx(2.0, abs=1e-6)
+        assert float(member.predict(np.array([0.3, 0.6]), 1.0)[0]) == pytest.approx(2.0, abs=1e-6)
 
     def test_full_budget_equals_alpha_plus_beta(self):
         rng = np.random.default_rng(3)
@@ -63,14 +60,14 @@ class TestPredictMember:
             raw, _ = forward(member.body, config[None, :])
             sig = 1.0 / (1.0 + np.exp(-raw[0, 2]))
             alpha_plus_beta = raw[0, 0] + raw[0, 1] * sig
-            assert abs(predict_member(member, config, 1.0) - alpha_plus_beta) <= 1e-12
+            assert abs(float(member.predict(config, 1.0)[0]) - alpha_plus_beta) <= 1e-12
 
     def test_budget_domain(self):
         member = DplNetwork(2, seed=0, hidden_width=8)
         with pytest.raises(ValueError):
-            predict_member(member, np.array([0.1, 0.2]), 0.0)
+            member.predict(np.array([0.1, 0.2]), 0.0)
         with pytest.raises(ValueError):
-            predict_member(member, np.array([0.1, 0.2]), 1.5)
+            member.predict(np.array([0.1, 0.2]), 1.5)
 
 
 class TestHeadGradient:
@@ -112,17 +109,17 @@ def _fixed_ensemble(values):
 
 class TestPosterior:
     def test_two_member_arithmetic(self):
-        p = posterior(_fixed_ensemble([0.2, 0.4]), np.zeros(2), 1.0)
+        p = _fixed_ensemble([0.2, 0.4]).posterior(np.zeros(2), 1.0)
         assert abs(p.mean - 0.3) <= 1e-12
         assert abs(p.variance - 0.01) <= 1e-12
 
     def test_three_member_arithmetic(self):
-        p = posterior(_fixed_ensemble([1.0, 2.0, 3.0]), np.zeros(2), 1.0)
+        p = _fixed_ensemble([1.0, 2.0, 3.0]).posterior(np.zeros(2), 1.0)
         assert abs(p.mean - 2.0) <= 1e-12
         assert abs(p.variance - 2.0 / 3.0) <= 1e-12
 
     def test_identical_members_zero_variance(self):
-        p = posterior(_fixed_ensemble([0.7, 0.7, 0.7]), np.zeros(2), 1.0)
+        p = _fixed_ensemble([0.7, 0.7, 0.7]).posterior(np.zeros(2), 1.0)
         assert p.variance == 0.0
 
     def test_single_member(self):
@@ -131,13 +128,13 @@ class TestPosterior:
         ens.members = [member]
         ens.fitted = True
         config = np.array([0.2, 0.9])
-        p = posterior(ens, config, 0.5)
-        assert p.mean == pytest.approx(predict_member(member, config, 0.5), abs=1e-12)
+        p = ens.posterior(config, 0.5)
+        assert p.mean == pytest.approx(float(member.predict(config, 0.5)[0]), abs=1e-12)
         assert p.variance == 0.0
 
     def test_permutation_invariant(self):
-        a = posterior(_fixed_ensemble([0.1, 0.5, 0.9]), np.zeros(2), 1.0)
-        b = posterior(_fixed_ensemble([0.9, 0.1, 0.5]), np.zeros(2), 1.0)
+        a = _fixed_ensemble([0.1, 0.5, 0.9]).posterior(np.zeros(2), 1.0)
+        b = _fixed_ensemble([0.9, 0.1, 0.5]).posterior(np.zeros(2), 1.0)
         assert a.mean == pytest.approx(b.mean, abs=1e-15)
         assert a.variance == pytest.approx(b.variance, abs=1e-15)
 
@@ -156,7 +153,7 @@ class TestFitInitial:
         ens = DplEnsemble(hp_dim=2, seed=0)
         ens.fit_initial(data, TrainerSchedule.for_curve_length(8))
         probe = np.array([0.11, 0.93])
-        preds = [predict_member(m, probe, 0.37) for m in ens.members]
+        preds = [float(m.predict(probe, 0.37)[0]) for m in ens.members]
         assert len(set(preds)) > 1
 
     def test_single_observation_overfits(self):
@@ -298,7 +295,7 @@ class TestConditionedNetwork:
     def test_zero_network_predicts_zero(self):
         net = ConditionedNetwork(2, seed=0, hidden_width=8)
         net.body.flat_params[...] = 0.0
-        assert predict_conditioned_nn(net, np.array([0.3, 0.6]), 0.5) == 0.0
+        assert float(net.predict(np.array([0.3, 0.6]), 0.5)[0]) == 0.0
 
     def test_input_dimension_contract(self):
         net = ConditionedNetwork(2, seed=0, hidden_width=8)

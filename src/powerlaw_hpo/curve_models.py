@@ -155,6 +155,12 @@ class FitResult:
 # break shift d and sharpness f) live in log space, which also keeps them
 # inside the formulation's domain.  The shifted/scaled forms keep a linear
 # (sign-free) beta since their base never spans decades.
+_N_INTERNAL_PARAMS = {
+    Formulation.POWER_LAW: 3,          # alpha, log beta, gamma
+    Formulation.SHIFTED_POWER_LAW: 4,  # alpha, beta, gamma, d
+    Formulation.SCALED_POWER_LAW: 5,   # alpha, beta, gamma, d, e
+    Formulation.BROKEN_POWER_LAW: 6,   # alpha, log beta, gamma, c, log d, log f
+}
 
 
 def _initial_guess(
@@ -198,24 +204,40 @@ def _initial_guess(
 
 
 def _internal_values_jac(
-    formulation: Formulation, q: np.ndarray, b: np.ndarray
+    formulation: Formulation,
+    q: np.ndarray,
+    b: np.ndarray,
+    *,
+    lnb: np.ndarray | None = None,
+    neg_lnb: np.ndarray | None = None,
+    jac: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Model values and jacobian in the internal fit space.
 
     Invalid bases for the shifted/scaled forms are clamped (with zero
     gradient) instead of raising, so Adam can wander through bad regions
     and recover.
+
+    A fit loop passes the per-fit invariants ``lnb = log(b)`` and
+    ``neg_lnb = -lnb`` and an ``(n, n_params)`` ``jac`` buffer whose
+    column 0 already holds 1.0; the returned jacobian is then that buffer,
+    overwritten by the next call.  Without ``jac`` a fresh one is returned.
     """
-    n = b.shape[0]
-    jac = np.empty((n, q.shape[0]))
-    lnb = np.log(b)
-    if formulation is Formulation.POWER_LAW:
-        alpha, u, gamma = q
-        power = np.exp(u - gamma * lnb)
-        vals = alpha + power
+    if jac is None:
+        jac = np.empty((b.shape[0], q.shape[0]))
         jac[:, 0] = 1.0
-        jac[:, 1] = power
-        jac[:, 2] = -lnb * power
+    if formulation is Formulation.POWER_LAW:
+        if lnb is None:
+            lnb = np.log(b)
+        if neg_lnb is None:
+            neg_lnb = -lnb
+        alpha, u, gamma = q.tolist()
+        power = jac[:, 1]
+        np.multiply(lnb, gamma, out=power)
+        np.subtract(u, power, out=power)
+        np.exp(power, out=power)
+        vals = power + alpha
+        np.multiply(neg_lnb, power, out=jac[:, 2])
         return vals, jac
     if formulation in (Formulation.SHIFTED_POWER_LAW, Formulation.SCALED_POWER_LAW):
         if formulation is Formulation.SHIFTED_POWER_LAW:
@@ -230,13 +252,14 @@ def _internal_values_jac(
         power = np.exp(-gamma * lnbase)
         vals = alpha - beta * power
         dpower_dbase = -gamma * power / base * valid
-        jac[:, 0] = 1.0
         jac[:, 1] = -power
         jac[:, 2] = beta * lnbase * power
         jac[:, 3] = -beta * dpower_dbase
         if formulation is Formulation.SCALED_POWER_LAW:
             jac[:, 4] = -beta * dpower_dbase * b
         return vals, jac
+    if lnb is None:
+        lnb = np.log(b)
     alpha, u, gamma, c, log_d, log_f = q
     f = math.exp(log_f)
     power = np.exp(u - gamma * lnb)
@@ -246,7 +269,6 @@ def _internal_values_jac(
     qfac = np.exp(-c * f * lnbase)
     vals = alpha + power * qfac
     pq = power * qfac
-    jac[:, 0] = 1.0
     jac[:, 1] = pq
     jac[:, 2] = -lnb * pq
     jac[:, 3] = pq * (-f * lnbase)
@@ -309,6 +331,17 @@ def fit_single_curve(
     best_params: np.ndarray | None = None
     best_loss = math.inf
     diverged = False
+    # per-fit invariants, hoisted out of the restarts x epochs Adam loop
+    n = y.size
+    lnb = np.log(b)
+    neg_lnb = -lnb
+    jac = np.empty((n, _N_INTERNAL_PARAMS[formulation]))
+    jac[:, 0] = 1.0
+    buf = np.empty(n)  # |resid|, then the loss gradient sign(resid) / n
+    lrs = [
+        cfg.lr * 0.5 * (1.0 + math.cos(math.pi * epoch / cfg.max_epochs))
+        for epoch in range(cfg.max_epochs)
+    ]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for attempt in range(max(1, cfg.restarts)):
             rng = np.random.default_rng(seed_base + (attempt,))
@@ -316,11 +349,14 @@ def fit_single_curve(
             # extreme observations can push a guess out of float range
             params = np.clip(np.nan_to_num(params), -1e3, 1e3)
             state = AdamState.for_params(params, lr=cfg.lr)
-            for epoch in range(cfg.max_epochs):
-                state.lr = cfg.lr * 0.5 * (1.0 + math.cos(math.pi * epoch / cfg.max_epochs))
-                vals, jac = _internal_values_jac(formulation, params, b)
-                resid = vals - y
-                loss = float(np.mean(np.abs(resid)))
+            for lr in lrs:
+                state.lr = lr
+                resid, _ = _internal_values_jac(
+                    formulation, params, b, lnb=lnb, neg_lnb=neg_lnb, jac=jac
+                )
+                resid -= y
+                # np.mean's own sum-then-divide, without its wrapper
+                loss = float(np.add.reduce(np.abs(resid, out=buf)) / n)
                 if not math.isfinite(loss):
                     diverged = True
                     break
@@ -329,8 +365,10 @@ def fit_single_curve(
                     best_params = params.copy()
                 if loss < 1e-12:
                     break
-                grad = (np.sign(resid) / resid.size) @ jac
-                if not np.all(np.isfinite(grad)):
+                np.sign(resid, out=buf)
+                buf /= n
+                grad = buf @ jac
+                if not all(map(math.isfinite, grad.tolist())):
                     diverged = True
                     break
                 adam_step(params, grad, state)

@@ -95,8 +95,8 @@ def run_forecast_experiment(
 
     Tables with fewer than 2 configs (nothing to rank) or curves shorter
     than 2 steps (nothing to fit) raise BenchmarkFormatError.  When all
-    predictions tie, no ranking exists and the report carries
-    ``spearman = nan``.
+    predictions tie, or all true final losses tie, no ranking exists and
+    the report carries ``spearman = nan``.
     """
     if not 0.0 < observed_fraction < 1.0:
         raise ValueError(f"observed_fraction must be in (0, 1), got {observed_fraction}")
@@ -147,6 +147,10 @@ def run_forecast_experiment(
         seed=seed,
         predicted_final=preds,
         true_final=true_final,
-        spearman=math.nan if np.ptp(preds) == 0 else spearman(preds, true_final),
+        spearman=(
+            math.nan
+            if np.ptp(preds) == 0 or np.ptp(true_final) == 0
+            else spearman(preds, true_final)
+        ),
         mean_abs_rel_error=float(np.mean(rel_err)),
     )

@@ -26,16 +26,13 @@ ADAM_EPSILON = 1e-8
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Numerically stable logistic sigmoid of an array."""
     x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp(-|x|) never overflows: 1 / (1 + e^-x) for x >= 0, e^x / (1 + e^x) below
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def leaky_relu(x):
-    return np.where(x >= 0, x, DEFAULT_LEAKY_SLOPE * x)
+    return np.maximum(x, DEFAULT_LEAKY_SLOPE * x)
 
 
 def _leaky_relu_grad(x):

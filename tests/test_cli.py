@@ -175,6 +175,29 @@ class TestForecast:
         assert code == 3
         assert f"error: {field}: " in capsys.readouterr().err
 
+    def test_tied_true_finals_exit_0_with_nan(self, tmp_path):
+        doc = {
+            "name": "tied",
+            "metric": "loss",
+            "b_max": 6,
+            "hyperparameters": [{"name": "x", "min": 0.0, "max": 1.0}],
+            "configs": [
+                {"id": i, "values": [x], "curve": [0.9, 0.8, 0.7, 0.6, 0.55, 0.5]}
+                for i, x in enumerate((0.1, 0.4, 0.6, 0.9))
+            ],
+        }
+        bench = tmp_path / "tied.json"
+        bench.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "fc.csv"
+        code = main([
+            "forecast", "--benchmark", str(bench), "--fractions", "0.5",
+            "--models", "pl", "--seeds", "0", "--out", str(out),
+        ])
+        assert code == 0
+        rows = _read_csv(out)
+        assert len(rows) == 1
+        assert rows[0]["spearman"] == "nan"
+
     def test_rerun_bit_identical(self, tmp_path):
         bench = tmp_path / "bench.json"
         main(_synth_args(bench, configs=6, b_max=5))

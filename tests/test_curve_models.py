@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from powerlaw_hpo import curve_models
 from powerlaw_hpo.curve_models import (
     CurveDomainError,
     ExtendedCoefficients,
@@ -22,6 +23,8 @@ from powerlaw_hpo.curve_models import (
     min_smooth,
     predict,
 )
+
+from helpers import reference_fit_single_curve
 
 
 class TestPowerLaw:
@@ -269,3 +272,56 @@ class TestFitSingleCurve:
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError):
             fit_single_curve([0.5], max_budget=10)
+
+
+def _same_fit(a, b) -> bool:
+    mae_equal = a.train_mae == b.train_mae or (math.isnan(a.train_mae) and math.isnan(b.train_mae))
+    return a.coefficients == b.coefficients and mae_equal and a.diverged == b.diverged
+
+
+class TestFitBitIdentity:
+    """fit_single_curve against a reference loop that recomputes every
+    per-step quantity; both run in this process, so equality is exact."""
+
+    CURVES = [
+        ([0.9, 0.6, 0.5, 0.45, 0.42, 0.41, 0.405], 20),
+        # the first power-law guess interpolates exactly: the loss < 1e-12 exit
+        ([1.0, 0.5], 2),
+        ([0.7, 0.71, 0.65, 0.66, 0.6, 0.58, 0.59, 0.55, 0.52, 0.53, 0.5, 0.49, 0.48], 40),
+        ([0.5] * 5, 10),                                    # constant
+        ([1e308, 1e307, 1e306, 1e305, 1e304], 10),          # overflows: diverged
+    ]
+
+    @pytest.mark.parametrize("formulation", list(Formulation))
+    def test_matches_reference_loop(self, formulation):
+        for i, (curve, max_budget) in enumerate(self.CURVES):
+            cfg = FitConfig(max_epochs=200, restarts=3, seed=(4, i))
+            got = fit_single_curve(curve, max_budget, formulation, cfg)
+            want = reference_fit_single_curve(curve, max_budget, formulation, cfg)
+            assert _same_fit(got, want), (formulation, curve, got, want)
+
+
+class TestFitStepCount:
+    """One Adam step per epoch and restart, through the module global
+    ``curve_models.adam_step`` (the benchmark counts calls there)."""
+
+    def _count_steps(self, monkeypatch, curve, max_budget, cfg):
+        calls = []
+        real = curve_models.adam_step
+
+        def counting(param, grad, state):
+            calls.append(1)
+            real(param, grad, state)
+
+        monkeypatch.setattr(curve_models, "adam_step", counting)
+        fit_single_curve(curve, max_budget=max_budget, fit_config=cfg)
+        return len(calls)
+
+    def test_no_early_exit_takes_restarts_times_epochs(self, monkeypatch):
+        cfg = FitConfig(max_epochs=150, restarts=3, seed=0)
+        steps = self._count_steps(monkeypatch, [0.9, 0.7, 0.65, 0.5, 0.52, 0.4], 20, cfg)
+        assert steps == cfg.restarts * cfg.max_epochs
+
+    def test_exact_first_guess_takes_no_step(self, monkeypatch):
+        cfg = FitConfig(max_epochs=150, restarts=3, seed=0)
+        assert self._count_steps(monkeypatch, [1.0, 0.5], 2, cfg) == 0

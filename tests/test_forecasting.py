@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -119,3 +120,17 @@ class TestForecastExperiment:
         report = run_forecast_experiment(noiseless_table, 0.3, ForecastModel.DPL, seed=0)
         assert np.all(report.predicted_final == 1e30)
         assert math.isnan(report.spearman)
+
+    def test_tied_true_finals_report_nan(self, noiseless_table):
+        # every curve identical: the targets tie, so no ranking exists
+        curve = noiseless_table.loss_curves[0]
+        tied = dataclasses.replace(
+            noiseless_table,
+            raw_curves=np.tile(curve, (noiseless_table.n_configs, 1)),
+            loss_curves=np.tile(curve, (noiseless_table.n_configs, 1)),
+        )
+        report = run_forecast_experiment(tied, 0.5, ForecastModel.PER_CURVE_POWER_LAW, seed=0)
+        assert np.ptp(report.true_final) == 0
+        assert math.isnan(report.spearman)
+        with pytest.raises(ValueError):
+            spearman(report.predicted_final, report.true_final)

@@ -10,6 +10,7 @@ from powerlaw_hpo.neural_core import (
     init_weights,
     l1_loss,
     leaky_relu,
+    sigmoid,
 )
 
 from helpers import max_relative_error, numeric_gradient
@@ -199,3 +200,37 @@ class TestInitWeights:
 def test_leaky_relu_values():
     assert leaky_relu(2.0) == 2.0
     assert leaky_relu(-2.0) == pytest.approx(-0.02)
+
+
+def _old_sigmoid(x):
+    # the boolean-index formulation that sigmoid() replaced
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def _old_leaky_relu(x):
+    return np.where(x >= 0, x, 0.01 * x)
+
+
+def _bits(a):
+    # NaNs compare by position only; every other entry bit for bit
+    a = np.asarray(a, dtype=float)
+    return np.isnan(a), np.where(np.isnan(a), 0.0, a).view(np.int64)
+
+
+def test_activations_bit_identical_to_old_formulas():
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e-300, -1e-300, 745.0, -745.0,
+                        5e-324, -5e-324, 36.0, -36.0, 710.0, -710.0, 1.0, -1.0])
+    rng = np.random.default_rng(0)
+    grid = np.concatenate([special, rng.normal(0.0, 5.0, 4000), rng.normal(0.0, 300.0, 1000)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for new, old in ((sigmoid, _old_sigmoid), (leaky_relu, _old_leaky_relu)):
+            for x in (grid, grid[:5000].reshape(-1, 10), grid[::3]):
+                got_nan, got = _bits(new(x))
+                want_nan, want = _bits(old(x))
+                assert np.array_equal(got_nan, want_nan), new.__name__
+                assert np.array_equal(got, want), new.__name__

@@ -1,6 +1,6 @@
 """Multi-fidelity hyperparameter optimization with power-law surrogates."""
 
-from .acquisition import Candidate, Incumbent, expected_improvement
+from .acquisition import Candidate, expected_improvement
 from .benchmarks import BenchmarkTable, generate_synthetic, load_benchmark, save_benchmark
 from .curve_models import FitConfig, Formulation, LearningCurve, fit_single_curve, min_smooth
 from .forecasting import ForecastModel, ForecastReport, run_forecast_experiment, spearman
@@ -20,7 +20,6 @@ __all__ = [
     "ForecastReport",
     "Formulation",
     "History",
-    "Incumbent",
     "LearningCurve",
     "Observation",
     "Posterior",

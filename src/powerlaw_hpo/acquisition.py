@@ -19,12 +19,6 @@ class Candidate:
     scaled_vector: np.ndarray
 
 
-@dataclass(frozen=True)
-class Incumbent:
-    config_id: int
-    value: float
-
-
 class FullyEvaluatedError(ValueError):
     """The selected configuration already sits at the maximum budget."""
 
@@ -55,26 +49,15 @@ def expected_improvement(mean: float, std: float, f_best: float) -> float:
     return max(improvement * _norm_cdf(z) + std * _norm_pdf(z), 0.0)
 
 
-def best_observed(history: History) -> Incumbent:
-    """Lowest loss in the history at any budget; earliest-appended wins ties."""
-    if len(history) == 0:
-        raise ValueError("history is empty")
-    best = None
-    for obs in history:
-        if best is None or obs.loss < best.value:
-            best = Incumbent(config_id=obs.config_id, value=obs.loss)
-    return best
-
-
-def select_next(candidates: list[Candidate], ensemble, history: History) -> Candidate:
+def select_next(candidates: list[Candidate], ensemble, f_best: float) -> Candidate:
     """Exhaustive EI scan over the candidate pool at full budget (b_norm = 1).
 
-    Ties (including the all-zero-EI case) break toward the lowest config id,
-    so the choice is deterministic and pool-order independent.
+    EI is scored against ``f_best``, the incumbent loss.  Ties (including
+    the all-zero-EI case) break toward the lowest config id, so the choice
+    is deterministic and pool-order independent.
     """
     if not candidates:
         raise ValueError("candidate pool is empty")
-    f_best = best_observed(history).value
     xs = np.stack([c.scaled_vector for c in candidates])
     means, variances = ensemble.posterior_batch(xs, 1.0)
     best_cand = None

@@ -39,18 +39,11 @@ class ShSchedule:
     """Successive-halving ladder: rung budgets and the cull factor eta."""
 
     eta: int = DEFAULT_ETA
-    min_budget: int = 1
-    max_budget: int = 1
     rungs: tuple[int, ...] = field(default=())
 
     @classmethod
     def for_table(cls, table: BenchmarkTable, eta: int = DEFAULT_ETA) -> "ShSchedule":
-        return cls(
-            eta=eta,
-            min_budget=1,
-            max_budget=table.b_max,
-            rungs=geometric_rungs(table.b_max, eta),
-        )
+        return cls(eta=eta, rungs=geometric_rungs(table.b_max, eta))
 
 
 def run_random_search(table: BenchmarkTable, settings: RunSettings) -> Trajectory:

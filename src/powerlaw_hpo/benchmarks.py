@@ -120,15 +120,6 @@ def config_best_losses(table: BenchmarkTable) -> np.ndarray:
     return table.loss_curves.min(axis=1)
 
 
-def normalized_regret(regret: float, table: BenchmarkTable) -> float:
-    """Regret divided by the best-to-worst span of per-config best losses."""
-    best = config_best_losses(table)
-    span = float(best.max() - best.min())
-    if span <= 0:
-        raise ValueError("degenerate table: best and worst configs coincide")
-    return max(regret, 0.0) / span
-
-
 def _require(cond: bool, path: str, msg: str):
     if not cond:
         raise BenchmarkFormatError(f"{path}: {msg}")

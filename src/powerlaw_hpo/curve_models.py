@@ -208,9 +208,9 @@ def _internal_values_jac(
     q: np.ndarray,
     b: np.ndarray,
     *,
-    lnb: np.ndarray | None = None,
-    neg_lnb: np.ndarray | None = None,
-    jac: np.ndarray | None = None,
+    lnb: np.ndarray,
+    neg_lnb: np.ndarray,
+    jac: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Model values and jacobian in the internal fit space.
 
@@ -218,19 +218,12 @@ def _internal_values_jac(
     gradient) instead of raising, so Adam can wander through bad regions
     and recover.
 
-    A fit loop passes the per-fit invariants ``lnb = log(b)`` and
+    The caller passes the per-fit invariants ``lnb = log(b)`` and
     ``neg_lnb = -lnb`` and an ``(n, n_params)`` ``jac`` buffer whose
-    column 0 already holds 1.0; the returned jacobian is then that buffer,
-    overwritten by the next call.  Without ``jac`` a fresh one is returned.
+    column 0 already holds 1.0; the returned jacobian is that buffer,
+    overwritten by the next call.
     """
-    if jac is None:
-        jac = np.empty((b.shape[0], q.shape[0]))
-        jac[:, 0] = 1.0
     if formulation is Formulation.POWER_LAW:
-        if lnb is None:
-            lnb = np.log(b)
-        if neg_lnb is None:
-            neg_lnb = -lnb
         alpha, u, gamma = q.tolist()
         power = jac[:, 1]
         np.multiply(lnb, gamma, out=power)
@@ -258,8 +251,6 @@ def _internal_values_jac(
         if formulation is Formulation.SCALED_POWER_LAW:
             jac[:, 4] = -beta * dpower_dbase * b
         return vals, jac
-    if lnb is None:
-        lnb = np.log(b)
     alpha, u, gamma, c, log_d, log_f = q
     f = math.exp(log_f)
     power = np.exp(u - gamma * lnb)

@@ -24,7 +24,7 @@ from .benchmarks import (
     oracle,
 )
 from .history import History, Observation
-from .surrogate import DplEnsemble, TrainerSchedule, TrainingData, should_restart
+from .surrogate import DplEnsemble, Stagnation, TrainerSchedule, TrainingData, should_restart
 
 TRAJECTORY_COLUMNS = (
     "seed",
@@ -137,7 +137,7 @@ class RunContext:
             seed=settings.seed,
             normalization_span=span if span > 0 else 1.0,
         )
-        self._incumbent = math.inf
+        self.incumbent = math.inf  # lowest loss observed so far
         self._t0 = time.process_time()
 
     def _now(self) -> float:
@@ -171,13 +171,13 @@ class RunContext:
             )
         self.steps_consumed += cost
         self.history.append(Observation(config_id=config_id, budget=budget, loss=loss))
-        self._incumbent = min(self._incumbent, loss)
+        self.incumbent = min(self.incumbent, loss)
         self.trajectory.points.append(
             TrajectoryPoint(
                 steps_consumed=self.steps_consumed,
                 wall_time=self._now(),
-                incumbent_loss=self._incumbent,
-                incumbent_regret=self._incumbent - self.oracle_loss,
+                incumbent_loss=self.incumbent,
+                incumbent_regret=self.incumbent - self.oracle_loss,
             )
         )
         return loss
@@ -238,6 +238,7 @@ def run_dpl(
 
     iteration = 0
     restart_pending = False
+    stagnation = Stagnation(schedule.restart_threshold_iterations)
     while ctx.remaining > 0:
         iteration += 1
         data = _training_data(ctx)
@@ -245,15 +246,16 @@ def run_dpl(
             fit_loss = ensemble.fit_initial(data, schedule)
         elif restart_pending:
             fit_loss = ensemble.restart(data, schedule)
+            stagnation = Stagnation(schedule.restart_threshold_iterations)
         else:
             fit_loss = ensemble.refine(data, len(data) - 1, schedule)
-        restart_pending = should_restart(schedule, fit_loss)
+        restart_pending = should_restart(stagnation, fit_loss)
 
         pool = ctx.candidate_pool()
         if not pool:
             ctx.trajectory.exhausted_pool = True
             break
-        selected = acquisition.select_next(pool, ensemble, ctx.history)
+        selected = acquisition.select_next(pool, ensemble, ctx.incumbent)
         try:
             budget = acquisition.next_budget(selected, ctx.history, settings.b_step, table.b_max)
         except FullyEvaluatedError:  # pool filtering should prevent this

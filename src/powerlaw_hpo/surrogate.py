@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -31,13 +31,14 @@ RAW_HEAD_WIDTH = 5  # alpha, (beta, beta-gate), (gamma, gamma-gate)
 DEFAULT_ENSEMBLE_SIZE = 5
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainerSchedule:
-    """Epoch counts and the stagnation/restart bookkeeping.
+    """Epoch counts, batch size and the restart threshold.
 
     The restart threshold is measured in HPO iterations: a restart fires
     once the surrogate fitting loss has not improved for more than
-    ceil(1.2 * learning-curve length) iterations.
+    ceil(1.2 * learning-curve length) iterations.  The schedule holds no
+    run state, so one schedule may be shared between runs.
     """
 
     initial_epochs: int = 250
@@ -45,20 +46,23 @@ class TrainerSchedule:
     initial_phase_iterations: int = 10
     restart_threshold_iterations: int = 60
     batch_size: int = 64
-    iterations_since_improvement: int = 0
-    best_fit_loss: float = math.inf
 
     @classmethod
     def for_curve_length(cls, lc_length: int, **kwargs) -> "TrainerSchedule":
         threshold = max(1, math.ceil(1.2 * lc_length))
         return cls(restart_threshold_iterations=threshold, **kwargs)
 
-    def reset_stagnation(self) -> None:
-        self.iterations_since_improvement = 0
-        self.best_fit_loss = math.inf
+
+@dataclass
+class Stagnation:
+    """Fit-loss stagnation counter of one run; a restart starts a new one."""
+
+    threshold: int
+    iterations_since_improvement: int = 0
+    best_fit_loss: float = math.inf
 
 
-def should_restart(schedule: TrainerSchedule, current_fit_loss: float) -> bool:
+def should_restart(stagnation: Stagnation, current_fit_loss: float) -> bool:
     """Tick the stagnation counter with this iteration's fit loss.
 
     Improvement (loss below best by more than 1e-9) resets the counter; a
@@ -66,12 +70,12 @@ def should_restart(schedule: TrainerSchedule, current_fit_loss: float) -> bool:
     """
     if not math.isfinite(current_fit_loss):
         return True
-    if current_fit_loss < schedule.best_fit_loss - 1e-9:
-        schedule.best_fit_loss = current_fit_loss
-        schedule.iterations_since_improvement = 0
+    if current_fit_loss < stagnation.best_fit_loss - 1e-9:
+        stagnation.best_fit_loss = current_fit_loss
+        stagnation.iterations_since_improvement = 0
     else:
-        schedule.iterations_since_improvement += 1
-    return schedule.iterations_since_improvement > schedule.restart_threshold_iterations
+        stagnation.iterations_since_improvement += 1
+    return stagnation.iterations_since_improvement > stagnation.threshold
 
 
 @dataclass(frozen=True)
@@ -299,8 +303,6 @@ class DplEnsemble:
         self.init_round = 0
         self.fit_round = 0
         self.restart_count = 0
-        self.fitted = False
-        self.last_fit_loss = math.inf
         self.members = [
             member_factory(hp_dim, member_init_seed(self.seed, k, 0), hidden_width)
             for k in range(self.n_members)
@@ -322,9 +324,7 @@ class DplEnsemble:
                 train_member_epochs(member, data, schedule.initial_epochs, schedule.batch_size, rng)
             )
         self.fit_round += 1
-        self.fitted = True
-        self.last_fit_loss = float(np.mean(losses))
-        return self.last_fit_loss
+        return float(np.mean(losses))
 
     def refine(
         self,
@@ -334,7 +334,7 @@ class DplEnsemble:
         batch_log: list | None = None,
     ) -> float:
         """Continue training every member, oversampling the newest observation."""
-        if not self.fitted:
+        if self.init_round == 0:
             raise RuntimeError("refine called before fit_initial")
         if not 0 <= newest_index < len(data):
             raise ValueError(f"newest_index {newest_index} out of range")
@@ -353,13 +353,11 @@ class DplEnsemble:
                 )
             )
         self.fit_round += 1
-        self.last_fit_loss = float(np.mean(losses))
-        return self.last_fit_loss
+        return float(np.mean(losses))
 
     def restart(self, data: TrainingData, schedule: TrainerSchedule) -> float:
         """Replay the initial fit with fresh weights after stagnation."""
         self.restart_count += 1
-        schedule.reset_stagnation()
         return self.fit_initial(data, schedule)
 
     def member_predictions(self, configs, b_norm) -> np.ndarray:
@@ -385,7 +383,7 @@ class DplEnsemble:
         return mean, var
 
 
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 
 def ensemble_snapshot(ensemble: DplEnsemble, schedule: TrainerSchedule) -> dict:
@@ -414,17 +412,7 @@ def ensemble_snapshot(ensemble: DplEnsemble, schedule: TrainerSchedule) -> dict:
         "init_round": ensemble.init_round,
         "fit_round": ensemble.fit_round,
         "restart_count": ensemble.restart_count,
-        "fitted": ensemble.fitted,
-        "last_fit_loss": ensemble.last_fit_loss,
-        "schedule": {
-            "initial_epochs": schedule.initial_epochs,
-            "refine_epochs": schedule.refine_epochs,
-            "initial_phase_iterations": schedule.initial_phase_iterations,
-            "restart_threshold_iterations": schedule.restart_threshold_iterations,
-            "batch_size": schedule.batch_size,
-            "iterations_since_improvement": schedule.iterations_since_improvement,
-            "best_fit_loss": schedule.best_fit_loss if math.isfinite(schedule.best_fit_loss) else None,
-        },
+        "schedule": asdict(schedule),
         "members": members,
     }
 
@@ -442,8 +430,6 @@ def ensemble_from_snapshot(doc: dict) -> tuple[DplEnsemble, TrainerSchedule]:
     ens.init_round = doc["init_round"]
     ens.fit_round = doc["fit_round"]
     ens.restart_count = doc["restart_count"]
-    ens.fitted = doc["fitted"]
-    ens.last_fit_loss = doc["last_fit_loss"]
     for member, mdoc in zip(ens.members, doc["members"]):
         dims = tuple(mdoc["layer_dims"])
         if dims != member.body.layer_dims:
@@ -457,17 +443,7 @@ def ensemble_from_snapshot(doc: dict) -> tuple[DplEnsemble, TrainerSchedule]:
             step_count=adam["step_count"],
             lr=adam["lr"],
         )
-    sdoc = doc["schedule"]
-    schedule = TrainerSchedule(
-        initial_epochs=sdoc["initial_epochs"],
-        refine_epochs=sdoc["refine_epochs"],
-        initial_phase_iterations=sdoc["initial_phase_iterations"],
-        restart_threshold_iterations=sdoc["restart_threshold_iterations"],
-        batch_size=sdoc["batch_size"],
-        iterations_since_improvement=sdoc["iterations_since_improvement"],
-        best_fit_loss=math.inf if sdoc["best_fit_loss"] is None else sdoc["best_fit_loss"],
-    )
-    return ens, schedule
+    return ens, TrainerSchedule(**doc["schedule"])
 
 
 def snapshot_to_json(ensemble: DplEnsemble, schedule: TrainerSchedule) -> str:

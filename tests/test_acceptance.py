@@ -8,6 +8,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from powerlaw_hpo.acquisition import expected_improvement
 from powerlaw_hpo.baselines import (
@@ -69,7 +70,6 @@ class _FixedMember:
 def _fixed_ensemble(values):
     ens = DplEnsemble(hp_dim=2, seed=0, n_members=len(values), hidden_width=4)
     ens.members = [_FixedMember(v) for v in values]
-    ens.fitted = True
     return ens
 
 
@@ -155,6 +155,7 @@ def test_criterion_5_per_curve_fit_recovery():
         assert elapsed < 60.0, f"fit recovery took {elapsed:.1f}s"
 
 
+@pytest.mark.slow
 def test_criterion_6_forecasting_experiment():
     with _criterion(6, "forecasting: per-curve PL ranks, DPL >= CondNN"):
         table = generate_synthetic(seed=606, n_configs=200, hp_dim=2, b_max=25, noise_std=0.0)
@@ -265,6 +266,7 @@ def test_criterion_11_min_smoothing():
             assert all(a >= b for a, b in zip(smoothed.values, smoothed.values[1:]))
 
 
+@pytest.mark.slow
 def test_criterion_7_end_to_end_hpo_superiority():
     with _criterion(7, "DPL beats random search at desk scale"):
         start = time.monotonic()

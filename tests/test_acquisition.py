@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from powerlaw_hpo.acquisition import (
     Candidate,
     FullyEvaluatedError,
-    best_observed,
     expected_improvement,
     next_budget,
     select_next,
@@ -63,32 +62,6 @@ class TestExpectedImprovement:
         assert expected_improvement(mean, std, f_best) >= 0.0
 
 
-class TestBestObserved:
-    def test_minimum_across_budgets(self):
-        h = History()
-        h.append(Observation(config_id=1, budget=1, loss=0.9))
-        h.append(Observation(config_id=1, budget=2, loss=0.7))
-        h.append(Observation(config_id=2, budget=1, loss=0.8))
-        inc = best_observed(h)
-        assert (inc.config_id, inc.value) == (1, 0.7)
-
-    def test_single_record(self):
-        h = History()
-        h.append(Observation(config_id=5, budget=3, loss=0.4))
-        inc = best_observed(h)
-        assert (inc.config_id, inc.value) == (5, 0.4)
-
-    def test_tie_breaks_to_earliest(self):
-        h = History()
-        h.append(Observation(config_id=9, budget=1, loss=0.5))
-        h.append(Observation(config_id=2, budget=1, loss=0.5))
-        assert best_observed(h).config_id == 9
-
-    def test_empty_history_rejected(self):
-        with pytest.raises(ValueError):
-            best_observed(History())
-
-
 class _StubEnsemble:
     """Posterior lookup keyed by the first vector component."""
 
@@ -102,17 +75,11 @@ class _StubEnsemble:
         return means, variances
 
 
-def _history_with(loss=0.5):
-    h = History()
-    h.append(Observation(config_id=0, budget=1, loss=loss))
-    return h
-
-
 class TestSelectNext:
     def test_single_candidate_pool(self):
         pool = [Candidate(config_id=3, scaled_vector=np.array([0.1]))]
         ens = _StubEnsemble({0.1: (0.4, 0.01)})
-        assert select_next(pool, ens, _history_with()) is pool[0]
+        assert select_next(pool, ens, 0.5) is pool[0]
 
     def test_lower_mean_wins_at_equal_std(self):
         pool = [
@@ -120,7 +87,7 @@ class TestSelectNext:
             Candidate(config_id=2, scaled_vector=np.array([0.2])),
         ]
         ens = _StubEnsemble({0.1: (0.45, 0.04), 0.2: (0.05, 0.04)})
-        assert select_next(pool, ens, _history_with()).config_id == 2
+        assert select_next(pool, ens, 0.5).config_id == 2
 
     def test_all_zero_ei_breaks_tie_by_lowest_id(self):
         pool = [
@@ -129,7 +96,7 @@ class TestSelectNext:
             Candidate(config_id=5, scaled_vector=np.array([0.3])),
         ]
         ens = _StubEnsemble({0.1: (0.9, 0.0), 0.2: (0.8, 0.0), 0.3: (0.7, 0.0)})
-        assert select_next(pool, ens, _history_with(0.5)).config_id == 3
+        assert select_next(pool, ens, 0.5).config_id == 3
 
     def test_pool_permutation_invariant(self):
         rng = np.random.default_rng(0)
@@ -137,15 +104,15 @@ class TestSelectNext:
         mapping = {k: (rng.uniform(0, 1), rng.uniform(0, 0.1)) for k in keys}
         pool = [Candidate(config_id=i, scaled_vector=np.array([k])) for i, k in enumerate(keys)]
         ens = _StubEnsemble(mapping)
-        chosen = select_next(pool, ens, _history_with())
+        chosen = select_next(pool, ens, 0.5)
         for perm_seed in range(5):
             shuffled = list(pool)
             np.random.default_rng(perm_seed).shuffle(shuffled)
-            assert select_next(shuffled, ens, _history_with()).config_id == chosen.config_id
+            assert select_next(shuffled, ens, 0.5).config_id == chosen.config_id
 
     def test_empty_pool_rejected(self):
         with pytest.raises(ValueError):
-            select_next([], _StubEnsemble({}), _history_with())
+            select_next([], _StubEnsemble({}), 0.5)
 
 
 class TestNextBudget:

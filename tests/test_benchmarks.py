@@ -8,7 +8,6 @@ from powerlaw_hpo.benchmarks import (
     evaluate,
     generate_synthetic,
     load_benchmark,
-    normalized_regret,
     oracle,
     save_benchmark,
     scale_config,
@@ -160,33 +159,6 @@ class TestOracleAndRegret:
                                        noise_std=0.05)
             brute = min(float(v) for row in table.loss_curves for v in row)
             assert oracle(table) == brute
-
-    def test_normalized_regret_arithmetic(self, tmp_path):
-        doc = _minimal_doc(configs=[
-            {"id": 0, "values": [0.1], "curve": [0.9, 0.3]},
-            {"id": 1, "values": [0.9], "curve": [0.9, 0.8]},
-        ])
-        table = load_benchmark(_write(tmp_path, doc))
-        # per-config best losses are 0.3 and 0.8 -> span 0.5
-        assert normalized_regret(0.05, table) == pytest.approx(0.1)
-        assert normalized_regret(0.0, table) == 0.0
-
-    def test_zero_span_rejected(self, tmp_path):
-        doc = _minimal_doc(configs=[
-            {"id": 0, "values": [0.1], "curve": [0.9, 0.3]},
-            {"id": 1, "values": [0.9], "curve": [0.5, 0.3]},
-        ])
-        table = load_benchmark(_write(tmp_path, doc))
-        with pytest.raises(ValueError):
-            normalized_regret(0.1, table)
-
-    def test_negative_regret_clamped(self, tmp_path):
-        doc = _minimal_doc(configs=[
-            {"id": 0, "values": [0.1], "curve": [0.9, 0.3]},
-            {"id": 1, "values": [0.9], "curve": [0.9, 0.8]},
-        ])
-        table = load_benchmark(_write(tmp_path, doc))
-        assert normalized_regret(-0.5, table) == 0.0
 
 
 class TestGenerateSynthetic:

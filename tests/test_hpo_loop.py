@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,7 +30,6 @@ class _OracleEnsemble:
     def __init__(self, table):
         self.finals = {tuple(np.round(table.scaled_values[i], 12)): table.loss_curves[i, -1]
                        for i in range(table.n_configs)}
-        self.last_fit_loss = 0.0
 
     def fit_initial(self, data, schedule):
         return 0.0
@@ -204,19 +205,34 @@ class TestTrajectory:
         assert times[-1] > 0.0
 
 
+TINY_SCHEDULE = TrainerSchedule.for_curve_length(
+    3, initial_epochs=3, refine_epochs=2, initial_phase_iterations=2
+)
+
+
 def _run_method(method, table, run_settings):
     if method != "dpl":
         return BASELINE_RUNNERS[method](table, run_settings)
-    # a fresh schedule per run: it carries the stagnation counter
-    schedule = TrainerSchedule.for_curve_length(
-        table.b_max, initial_epochs=3, refine_epochs=2, initial_phase_iterations=2
-    )
     return run_dpl(
         table,
         run_settings,
         make_ensemble=lambda hp_dim, seed: DplEnsemble(hp_dim, seed, n_members=2, hidden_width=8),
-        schedule=schedule,
+        schedule=TINY_SCHEDULE,
     )
+
+
+class TestSharedSchedule:
+    def test_same_seed_runs_sharing_a_schedule_are_identical(self):
+        # at seed 0 the first run never restarts; a stagnation counter kept
+        # in the schedule would make the second run restart once
+        table = generate_synthetic(seed=3, n_configs=6, hp_dim=2, b_max=3, noise_std=0.01)
+        run_settings = RunSettings(seed=0, budget_multiplier=6)
+        first = _run_method("dpl", table, run_settings).to_rows()
+        assert _run_method("dpl", table, run_settings).to_rows() == first
+
+    def test_schedule_is_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            TINY_SCHEDULE.restart_threshold_iterations = 1
 
 
 class TestLoopInvariants:

@@ -8,6 +8,7 @@ from powerlaw_hpo.surrogate import (
     ConditionedNetwork,
     DplEnsemble,
     DplNetwork,
+    Stagnation,
     TrainerSchedule,
     TrainingData,
     _power_law_head,
@@ -103,7 +104,6 @@ class _FixedMember:
 def _fixed_ensemble(values):
     ens = DplEnsemble(hp_dim=2, seed=0, n_members=len(values), hidden_width=4)
     ens.members = [_FixedMember(v) for v in values]
-    ens.fitted = True
     return ens
 
 
@@ -126,7 +126,6 @@ class TestPosterior:
         member = DplNetwork(2, seed=4, hidden_width=8)
         ens = DplEnsemble(hp_dim=2, seed=0, n_members=1, hidden_width=8)
         ens.members = [member]
-        ens.fitted = True
         config = np.array([0.2, 0.9])
         p = ens.posterior(config, 0.5)
         assert p.mean == pytest.approx(float(member.predict(config, 0.5)[0]), abs=1e-12)
@@ -214,29 +213,30 @@ class TestRefine:
 
 class TestShouldRestart:
     def test_decreasing_losses_never_restart(self):
-        sched = TrainerSchedule(restart_threshold_iterations=3)
-        assert not any(should_restart(sched, loss) for loss in (0.5, 0.4, 0.3, 0.2, 0.1))
+        stag = Stagnation(threshold=3)
+        assert not any(should_restart(stag, loss) for loss in (0.5, 0.4, 0.3, 0.2, 0.1))
 
     def test_stagnation_counter_arithmetic(self):
         sched = TrainerSchedule.for_curve_length(50)
         assert sched.restart_threshold_iterations == 60
-        assert not should_restart(sched, 0.5)  # improvement from +inf
+        stag = Stagnation(sched.restart_threshold_iterations)
+        assert not should_restart(stag, 0.5)  # improvement from +inf
         for i in range(60):
-            assert not should_restart(sched, 0.5), f"tick {i}"
-        assert should_restart(sched, 0.5)  # 61st stagnant tick
+            assert not should_restart(stag, 0.5), f"tick {i}"
+        assert should_restart(stag, 0.5)  # 61st stagnant tick
 
     def test_non_finite_loss_restarts_immediately(self):
-        sched = TrainerSchedule.for_curve_length(50)
-        assert should_restart(sched, math.nan)
-        assert should_restart(sched, math.inf)
+        stag = Stagnation(threshold=60)
+        assert should_restart(stag, math.nan)
+        assert should_restart(stag, math.inf)
 
     def test_improvement_resets_counter(self):
-        sched = TrainerSchedule(restart_threshold_iterations=2)
-        should_restart(sched, 1.0)
-        should_restart(sched, 1.0)
-        should_restart(sched, 0.9)  # improvement
-        assert sched.iterations_since_improvement == 0
-        assert sched.best_fit_loss == 0.9
+        stag = Stagnation(threshold=2)
+        should_restart(stag, 1.0)
+        should_restart(stag, 1.0)
+        should_restart(stag, 0.9)  # improvement
+        assert stag.iterations_since_improvement == 0
+        assert stag.best_fit_loss == 0.9
 
 
 class TestRestart:
@@ -273,22 +273,21 @@ class TestSnapshot:
         sched = TrainerSchedule.for_curve_length(8)
         ens = DplEnsemble(hp_dim=2, seed=2)
         ens.fit_initial(data, sched)
-        should_restart(sched, ens.last_fit_loss)
         restored, rsched = snapshot_from_json(snapshot_to_json(ens, sched))
         probe = np.array([[0.3, 0.8], [0.9, 0.1]])
         orig_mean, orig_var = ens.posterior_batch(probe, 1.0)
         new_mean, new_var = restored.posterior_batch(probe, 1.0)
         assert np.array_equal(orig_mean, new_mean)
         assert np.array_equal(orig_var, new_var)
-        assert rsched.best_fit_loss == sched.best_fit_loss
-        assert rsched.iterations_since_improvement == sched.iterations_since_improvement
+        assert rsched == sched
 
     def test_version_checked(self):
         ens = DplEnsemble(hp_dim=2, seed=0, hidden_width=4)
-        doc = ensemble_snapshot(ens, TrainerSchedule())
-        doc["version"] = 999
-        with pytest.raises(ValueError):
-            ensemble_from_snapshot(doc)
+        for version in (1, 999):  # v1 kept the stagnation counter in its schedule
+            doc = ensemble_snapshot(ens, TrainerSchedule())
+            doc["version"] = version
+            with pytest.raises(ValueError):
+                ensemble_from_snapshot(doc)
 
 
 class TestConditionedNetwork:

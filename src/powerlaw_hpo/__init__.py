@@ -7,7 +7,7 @@ from .forecasting import ForecastModel, ForecastReport, run_forecast_experiment,
 from .history import History, Observation
 from .hpo_loop import RunSettings, Trajectory, incumbent_regret, run_dpl
 from .baselines import run_asha, run_hyperband, run_random_search, run_successive_halving
-from .surrogate import DplEnsemble, Posterior, TrainerSchedule, TrainingData
+from .surrogate import DplEnsemble, TrainerSchedule, TrainingData
 
 __version__ = "0.1.0"
 
@@ -22,7 +22,6 @@ __all__ = [
     "History",
     "LearningCurve",
     "Observation",
-    "Posterior",
     "RunSettings",
     "TrainerSchedule",
     "TrainingData",

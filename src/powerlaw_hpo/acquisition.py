@@ -19,10 +19,6 @@ class Candidate:
     scaled_vector: np.ndarray
 
 
-class FullyEvaluatedError(ValueError):
-    """The selected configuration already sits at the maximum budget."""
-
-
 def _norm_cdf(z: float) -> float:
     return 0.5 * (1.0 + math.erf(z / SQRT2))
 
@@ -75,13 +71,7 @@ def next_budget(selected: Candidate, history: History, b_step: int, b_max: int) 
     """Advance the selected configuration by one budget increment.
 
     Unseen configurations start at b_step; otherwise the next budget is the
-    highest observed one plus b_step, capped at b_max.
+    highest observed one plus b_step, capped at b_max.  The candidate pool
+    holds only configurations below b_max, and RunSettings checks b_step.
     """
-    if b_step < 1:
-        raise ValueError(f"b_step must be >= 1, got {b_step}")
-    observed = history.max_budget_for(selected.config_id)
-    if observed >= b_max:
-        raise FullyEvaluatedError(
-            f"config {selected.config_id} already evaluated at b_max={b_max}"
-        )
-    return min(observed + b_step, b_max)
+    return min(history.max_budget_for(selected.config_id) + b_step, b_max)

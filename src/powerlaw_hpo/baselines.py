@@ -11,7 +11,6 @@ tabular benchmarks store full curves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,29 +20,17 @@ from .hpo_loop import RunContext, RunSettings, Trajectory, seed_initial_design
 DEFAULT_ETA = 3
 
 
-def geometric_rungs(b_max: int, eta: int, min_budget: int = 1) -> tuple[int, ...]:
-    """Budget ladder min_budget, min_budget*eta, ... capped/topped at b_max."""
+def geometric_rungs(b_max: int, eta: int) -> tuple[int, ...]:
+    """Budget ladder 1, eta, eta^2, ... capped/topped at b_max."""
     if eta < 2:
         raise ValueError("eta must be >= 2")
     rungs = []
-    b = min_budget
+    b = 1
     while b < b_max:
         rungs.append(b)
         b *= eta
     rungs.append(b_max)
     return tuple(rungs)
-
-
-@dataclass(frozen=True)
-class ShSchedule:
-    """Successive-halving ladder: rung budgets and the cull factor eta."""
-
-    eta: int = DEFAULT_ETA
-    rungs: tuple[int, ...] = field(default=())
-
-    @classmethod
-    def for_table(cls, table: BenchmarkTable, eta: int = DEFAULT_ETA) -> "ShSchedule":
-        return cls(eta=eta, rungs=geometric_rungs(table.b_max, eta))
 
 
 def run_random_search(table: BenchmarkTable, settings: RunSettings) -> Trajectory:
@@ -92,27 +79,6 @@ def successive_halving_bracket(
     return True
 
 
-def run_successive_halving(
-    table: BenchmarkTable, settings: RunSettings, schedule: ShSchedule | None = None
-) -> Trajectory:
-    """Repeat SH brackets of n = eta^(rungs-1) configs until budget runs out."""
-    schedule = schedule or ShSchedule.for_table(table)
-    ctx = RunContext(table, settings, method="sh")
-    rng = np.random.default_rng([settings.seed, 1])
-    seed_initial_design(ctx, np.random.default_rng([settings.seed, 0]), budget=1)
-    n = schedule.eta ** (len(schedule.rungs) - 1)
-    pool = list(table.config_ids)
-    while ctx.remaining > 0:
-        before = ctx.steps_consumed
-        cohort = _sample_cohort(rng, pool, n)
-        if not successive_halving_bracket(ctx, cohort, schedule.rungs, schedule.eta):
-            break
-        if ctx.steps_consumed == before:  # pool too small to make progress
-            ctx.trajectory.exhausted_pool = True
-            break
-    return ctx.trajectory
-
-
 def hyperband_brackets(b_max: int, eta: int = DEFAULT_ETA) -> list[tuple[int, tuple[int, ...]]]:
     """Bracket plan: (n_configs, rung budgets) for s = s_max .. 0.
 
@@ -130,14 +96,13 @@ def hyperband_brackets(b_max: int, eta: int = DEFAULT_ETA) -> list[tuple[int, tu
     return plan
 
 
-def run_hyperband(
-    table: BenchmarkTable, settings: RunSettings, eta: int = DEFAULT_ETA
+def _run_brackets(
+    table: BenchmarkTable, settings: RunSettings, method: str, plan: list, eta: int
 ) -> Trajectory:
-    """Cycle through the Hyperband bracket plan until the budget is spent."""
-    ctx = RunContext(table, settings, method="hb")
+    """Cycle through a bracket plan of (n_configs, rungs) until the budget is spent."""
+    ctx = RunContext(table, settings, method=method)
     rng = np.random.default_rng([settings.seed, 1])
     seed_initial_design(ctx, np.random.default_rng([settings.seed, 0]), budget=1)
-    plan = hyperband_brackets(table.b_max, eta)
     pool = list(table.config_ids)
     alive = True
     while alive and ctx.remaining > 0:
@@ -151,6 +116,22 @@ def run_hyperband(
             ctx.trajectory.exhausted_pool = True
             break
     return ctx.trajectory
+
+
+def run_successive_halving(
+    table: BenchmarkTable, settings: RunSettings, eta: int = DEFAULT_ETA
+) -> Trajectory:
+    """Hyperband with the one bracket (eta^(len(rungs)-1), geometric_rungs):
+    repeat SH brackets until the budget is spent."""
+    rungs = geometric_rungs(table.b_max, eta)
+    return _run_brackets(table, settings, "sh", [(eta ** (len(rungs) - 1), rungs)], eta)
+
+
+def run_hyperband(
+    table: BenchmarkTable, settings: RunSettings, eta: int = DEFAULT_ETA
+) -> Trajectory:
+    """Cycle through the Hyperband bracket plan until the budget is spent."""
+    return _run_brackets(table, settings, "hb", hyperband_brackets(table.b_max, eta), eta)
 
 
 def run_asha(table: BenchmarkTable, settings: RunSettings, eta: int = DEFAULT_ETA) -> Trajectory:

@@ -74,29 +74,6 @@ class BenchmarkTable:
             return self._id_index[config_id]
 
 
-def _scale_row(bounds, names, v: np.ndarray) -> np.ndarray:
-    out = np.empty_like(v)
-    for i, (lo, hi) in enumerate(bounds):
-        if not (lo <= v[i] <= hi):
-            raise ValueError(
-                f"value {v[i]} for {names[i]} outside bounds [{lo}, {hi}]"
-            )
-        out[i] = 0.0 if hi == lo else (v[i] - lo) / (hi - lo)
-    return out
-
-
-def scale_config(table: BenchmarkTable, raw_values) -> np.ndarray:
-    """Min-max scale one hyperparameter vector into [0, 1] per dimension.
-
-    Uses the declared search-space bounds, not observed extrema; a
-    degenerate dimension (min == max) maps to 0.
-    """
-    v = np.asarray(raw_values, dtype=float)
-    if v.shape != (table.hp_dim,):
-        raise ValueError(f"expected {table.hp_dim} values, got shape {v.shape}")
-    return _scale_row(table.bounds, table.hp_names, v)
-
-
 def evaluate(table: BenchmarkTable, config_id: int, budget: int) -> float:
     """Loss of a configuration at an exact budget step (pure lookup)."""
     if not 1 <= budget <= table.b_max:
@@ -213,7 +190,11 @@ def _as_table(doc: dict, source: str) -> BenchmarkTable:
     raw_values = np.asarray(values, dtype=float)
     raw_curves = np.asarray(curves, dtype=float)
     loss_curves = 1.0 - raw_curves if metric == "accuracy" else raw_curves.copy()
-    scaled = np.stack([_scale_row(bounds, names, row) for row in raw_values])
+    # min-max scale by the declared bounds (not observed extrema); a
+    # degenerate dimension (min == max) maps to 0
+    lo, hi = np.array(bounds).T
+    scaled = np.zeros_like(raw_values)
+    np.divide(raw_values - lo, hi - lo, out=scaled, where=hi > lo)
     return BenchmarkTable(
         name=doc["name"],
         metric_direction=metric,

@@ -48,6 +48,3 @@ class History:
 
     def __iter__(self):
         return iter(self._records)
-
-    def __getitem__(self, i: int) -> Observation:
-        return self._records[i]

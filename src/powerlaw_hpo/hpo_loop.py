@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import acquisition
-from .acquisition import Candidate, FullyEvaluatedError
+from .acquisition import Candidate
 from .benchmarks import (
     BenchmarkFormatError,
     BenchmarkTable,
@@ -45,7 +45,8 @@ class RunSettings:
     ``total_step_budget`` defaults to budget_multiplier * b_max (the cost
     of fully evaluating that many configurations).  Wall-clock recording
     is off by default so trajectories are bit-reproducible; turn it on
-    for overhead measurements only.
+    for overhead measurements only.  Step counts are checked here, once,
+    so every method rejects the same settings with the same error.
     """
 
     seed: int = 0
@@ -54,10 +55,14 @@ class RunSettings:
     budget_multiplier: int = 20
     record_wall_time: bool = False
 
+    def __post_init__(self):
+        for name in ("b_step", "budget_multiplier", "total_step_budget"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
+
     def resolve_budget(self, table: BenchmarkTable) -> int:
         if self.total_step_budget is not None:
-            if self.total_step_budget < 1:
-                raise ValueError("total_step_budget must be >= 1")
             return self.total_step_budget
         return self.budget_multiplier * table.b_max
 
@@ -256,11 +261,7 @@ def run_dpl(
             ctx.trajectory.exhausted_pool = True
             break
         selected = acquisition.select_next(pool, ensemble, ctx.incumbent)
-        try:
-            budget = acquisition.next_budget(selected, ctx.history, settings.b_step, table.b_max)
-        except FullyEvaluatedError:  # pool filtering should prevent this
-            ctx.trajectory.exhausted_pool = True
-            break
+        budget = acquisition.next_budget(selected, ctx.history, settings.b_step, table.b_max)
         if ctx.cost_of(selected.config_id, budget) > ctx.remaining:
             break
         ctx.observe(selected.config_id, budget)

@@ -105,18 +105,14 @@ class ForwardCache:
 
     inputs: list[np.ndarray]          # layer inputs, inputs[0] is the network input
     pre_activations: list[np.ndarray]
-    single_sample: bool
 
 
 def forward(net: DenseNetwork, inputs) -> tuple[np.ndarray, ForwardCache]:
-    """Run the network on a single input vector or a batch (rows = samples)."""
+    """Run the network on a batch (rows = samples)."""
     x = np.asarray(inputs, dtype=float)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
     if x.ndim != 2 or x.shape[1] != net.layer_dims[0]:
         raise ValueError(
-            f"input width {x.shape[-1]} does not match layer_dims[0]={net.layer_dims[0]}"
+            f"input shape {x.shape} is not (rows, layer_dims[0]={net.layer_dims[0]})"
         )
     layer_inputs = [x]
     pre_activations = []
@@ -128,8 +124,7 @@ def forward(net: DenseNetwork, inputs) -> tuple[np.ndarray, ForwardCache]:
         x = leaky_relu(z) if i < n_layers - 1 else z
         if i < n_layers - 1:
             layer_inputs.append(x)
-    cache = ForwardCache(layer_inputs, pre_activations, single)
-    return (x[0] if single else x), cache
+    return x, ForwardCache(layer_inputs, pre_activations)
 
 
 @dataclass
@@ -163,8 +158,6 @@ def backward(
     buffers instead of allocating.
     """
     g = np.asarray(output_gradient, dtype=float)
-    if cache.single_sample:
-        g = g[None, :]
     n_layers = len(net.weights)
     if len(cache.pre_activations) != n_layers or g.shape != cache.pre_activations[-1].shape:
         raise ValueError("cache does not match this network/output gradient")

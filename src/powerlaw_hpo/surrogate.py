@@ -79,12 +79,6 @@ def should_restart(stagnation: Stagnation, current_fit_loss: float) -> bool:
 
 
 @dataclass(frozen=True)
-class Posterior:
-    mean: float
-    variance: float
-
-
-@dataclass(frozen=True)
 class TrainingData:
     """Observed (config vector, normalized budget, loss) triples."""
 
@@ -251,7 +245,6 @@ def train_member_epochs(
     batch_size: int,
     rng: np.random.Generator,
     oversample_index: int | None = None,
-    batch_log: list | None = None,
 ) -> float:
     """Mini-batch training loop shared by all member types.
 
@@ -269,8 +262,6 @@ def train_member_epochs(
             idx = perm[start : start + bs]
             if oversample_index is not None:
                 idx = np.append(idx, oversample_index)
-            if batch_log is not None:
-                batch_log.append(idx.copy())
             loss = member.train_batch(data, idx)
             if not math.isfinite(loss):
                 return math.inf
@@ -292,7 +283,6 @@ class DplEnsemble:
         seed: int,
         n_members: int = DEFAULT_ENSEMBLE_SIZE,
         hidden_width: int = HIDDEN_WIDTH,
-        member_factory=DplNetwork,
     ):
         if n_members < 1:
             raise ValueError("ensemble needs at least one member")
@@ -304,7 +294,7 @@ class DplEnsemble:
         self.fit_round = 0
         self.restart_count = 0
         self.members = [
-            member_factory(hp_dim, member_init_seed(self.seed, k, 0), hidden_width)
+            DplNetwork(hp_dim, member_init_seed(self.seed, k, 0), hidden_width)
             for k in range(self.n_members)
         ]
 
@@ -326,13 +316,7 @@ class DplEnsemble:
         self.fit_round += 1
         return float(np.mean(losses))
 
-    def refine(
-        self,
-        data: TrainingData,
-        newest_index: int,
-        schedule: TrainerSchedule,
-        batch_log: list | None = None,
-    ) -> float:
+    def refine(self, data: TrainingData, newest_index: int, schedule: TrainerSchedule) -> float:
         """Continue training every member, oversampling the newest observation."""
         if self.init_round == 0:
             raise RuntimeError("refine called before fit_initial")
@@ -349,7 +333,6 @@ class DplEnsemble:
                     schedule.batch_size,
                     rng,
                     oversample_index=newest_index,
-                    batch_log=batch_log,
                 )
             )
         self.fit_round += 1
@@ -360,22 +343,14 @@ class DplEnsemble:
         self.restart_count += 1
         return self.fit_initial(data, schedule)
 
-    def member_predictions(self, configs, b_norm) -> np.ndarray:
-        """(K, n) matrix of member predictions."""
-        configs = np.atleast_2d(np.asarray(configs, dtype=float))
-        return np.stack([m.predict(configs, b_norm) for m in self.members])
-
-    def posterior(self, config, b_norm: float) -> Posterior:
-        mean, var = self.posterior_batch(np.atleast_2d(config), b_norm)
-        return Posterior(mean=float(mean[0]), variance=float(var[0]))
-
     def posterior_batch(self, configs, b_norm) -> tuple[np.ndarray, np.ndarray]:
         """Ensemble mean and population variance (divisor K) per config row.
 
         Computed relative to the first member's prediction so identical
         members yield exactly zero variance.
         """
-        preds = self.member_predictions(configs, b_norm)
+        configs = np.atleast_2d(np.asarray(configs, dtype=float))
+        preds = np.stack([m.predict(configs, b_norm) for m in self.members])
         dev = preds - preds[0]
         dev_mean = dev.mean(axis=0)
         mean = preds[0] + dev_mean

@@ -117,12 +117,13 @@ def test_criterion_2_curve_model_identities():
 
 def test_criterion_3_posterior_statistics():
     with _criterion(3, "ensemble posterior mean/variance arithmetic"):
-        p = _fixed_ensemble([0.2, 0.4]).posterior(np.zeros(2), 1.0)
-        assert abs(p.mean - 0.3) <= 1e-12 and abs(p.variance - 0.01) <= 1e-12
-        p = _fixed_ensemble([1.0, 2.0, 3.0]).posterior(np.zeros(2), 1.0)
-        assert abs(p.mean - 2.0) <= 1e-12 and abs(p.variance - 2.0 / 3.0) <= 1e-12
-        p = _fixed_ensemble([0.7, 0.7, 0.7, 0.7, 0.7]).posterior(np.zeros(2), 1.0)
-        assert p.variance == 0.0
+        x = np.atleast_2d(np.zeros(2))
+        mean, var = _fixed_ensemble([0.2, 0.4]).posterior_batch(x, 1.0)
+        assert abs(mean[0] - 0.3) <= 1e-12 and abs(var[0] - 0.01) <= 1e-12
+        mean, var = _fixed_ensemble([1.0, 2.0, 3.0]).posterior_batch(x, 1.0)
+        assert abs(mean[0] - 2.0) <= 1e-12 and abs(var[0] - 2.0 / 3.0) <= 1e-12
+        _, var = _fixed_ensemble([0.7, 0.7, 0.7, 0.7, 0.7]).posterior_batch(x, 1.0)
+        assert var[0] == 0.0
 
 
 def test_criterion_4_expected_improvement_analytics():

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from powerlaw_hpo.acquisition import (
     Candidate,
-    FullyEvaluatedError,
     expected_improvement,
     next_budget,
     select_next,
@@ -133,14 +132,3 @@ class TestNextBudget:
         cand = Candidate(config_id=4, scaled_vector=np.zeros(1))
         assert next_budget(cand, h, b_step=5, b_max=10) == 10
 
-    def test_fully_evaluated_raises(self):
-        h = History()
-        h.append(Observation(config_id=4, budget=10, loss=0.2))
-        cand = Candidate(config_id=4, scaled_vector=np.zeros(1))
-        with pytest.raises(FullyEvaluatedError):
-            next_budget(cand, h, b_step=1, b_max=10)
-
-    def test_invalid_step_rejected(self):
-        cand = Candidate(config_id=4, scaled_vector=np.zeros(1))
-        with pytest.raises(ValueError):
-            next_budget(cand, History(), b_step=0, b_max=10)

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from powerlaw_hpo.baselines import (
-    ShSchedule,
+    DEFAULT_ETA,
     geometric_rungs,
     hyperband_brackets,
     run_asha,
@@ -150,11 +150,20 @@ class TestSuccessiveHalving:
         traj = run_successive_halving(table, settings)
         assert traj.points[-1].steps_consumed <= 20 * table.b_max
 
-    def test_schedule_for_table(self):
+    def test_schedule_for_table(self, monkeypatch):
         table = _table(b_max=25)
-        sched = ShSchedule.for_table(table)
-        assert sched.rungs == (1, 3, 9, 25)
-        assert sched.eta == 3
+        assert geometric_rungs(table.b_max, DEFAULT_ETA) == (1, 3, 9, 25)
+        observed = _observe_log(monkeypatch)
+        run_successive_halving(table, RunSettings(seed=0, budget_multiplier=20))
+        assert {b for _, b in observed} == {1, 3, 9, 25}
+
+    def test_eta_two_respects_budget(self, monkeypatch):
+        # rungs 1, 2, 4, 8, 16, 25 want 32 configs; the 10-config pool is used whole
+        table = _table(n_configs=10, b_max=25)
+        observed = _observe_log(monkeypatch)
+        traj = run_successive_halving(table, RunSettings(seed=0, budget_multiplier=3), eta=2)
+        assert traj.points and traj.points[-1].steps_consumed <= 3 * table.b_max
+        assert {b for _, b in observed} <= {1, 2, 4, 8, 16, 25}
 
 
 class TestHyperband:

@@ -10,7 +10,6 @@ from powerlaw_hpo.benchmarks import (
     load_benchmark,
     oracle,
     save_benchmark,
-    scale_config,
     table_to_document,
 )
 
@@ -93,35 +92,50 @@ class TestLoadBenchmark:
         assert table_to_document(loaded) == table_to_document(reloaded)
 
 
+def _scaled(tmp_path, values, lo=0.0, hi=1.0):
+    """scaled_values[:, 0] of a one-hyperparameter table holding ``values``."""
+    doc = _minimal_doc(
+        hyperparameters=[{"name": "lr", "min": lo, "max": hi}],
+        configs=[{"id": i, "values": [v], "curve": [0.9, 0.4]} for i, v in enumerate(values)],
+    )
+    return load_benchmark(_write(tmp_path, doc)).scaled_values[:, 0]
+
+
 class TestScaleConfig:
     def test_bounds_map_to_unit_interval(self, tmp_path):
-        doc = _minimal_doc(hyperparameters=[{"name": "lr", "min": 2.0, "max": 6.0}],
-                           configs=[{"id": 0, "values": [2.0], "curve": [0.9, 0.4]}])
-        table = load_benchmark(_write(tmp_path, doc))
-        assert scale_config(table, [2.0])[0] == 0.0
-        assert scale_config(table, [6.0])[0] == 1.0
-        assert scale_config(table, [4.0])[0] == 0.5
+        scaled = _scaled(tmp_path, [2.0, 6.0, 4.0], lo=2.0, hi=6.0)
+        assert scaled[0] == 0.0
+        assert scaled[1] == 1.0
+        assert scaled[2] == 0.5
 
     def test_degenerate_dimension_maps_to_zero(self, tmp_path):
-        doc = _minimal_doc(hyperparameters=[{"name": "c", "min": 3.0, "max": 3.0}],
-                           configs=[{"id": 0, "values": [3.0], "curve": [0.9, 0.4]}])
-        table = load_benchmark(_write(tmp_path, doc))
-        assert scale_config(table, [3.0])[0] == 0.0
+        assert _scaled(tmp_path, [3.0], lo=3.0, hi=3.0)[0] == 0.0
 
     def test_out_of_bounds_rejected(self, tmp_path):
-        table = load_benchmark(_write(tmp_path, _minimal_doc()))
         with pytest.raises(ValueError):
-            scale_config(table, [1.2])
+            _scaled(tmp_path, [1.2])
 
     def test_affine_order_preserving(self, tmp_path):
-        doc = _minimal_doc(hyperparameters=[{"name": "lr", "min": -1.0, "max": 3.0}],
-                           configs=[{"id": 0, "values": [0.0], "curve": [0.9, 0.4]}])
-        table = load_benchmark(_write(tmp_path, doc))
         vals = np.linspace(-1, 3, 9)
-        scaled = [scale_config(table, [v])[0] for v in vals]
+        scaled = list(_scaled(tmp_path, vals.tolist(), lo=-1.0, hi=3.0))
         assert all(a < b for a, b in zip(scaled, scaled[1:]))
         diffs = np.diff(scaled)
         assert np.allclose(diffs, diffs[0])
+
+    def test_matches_per_value_formula(self, tmp_path):
+        # the whole-table divide gives the per-value min-max formula bit for bit
+        rng = np.random.default_rng(8)
+        bounds = [(-3.0, 7.5), (2.0, 2.0), (1e-4, 3e-4)]
+        values = [[rng.uniform(lo, hi) for lo, hi in bounds] for _ in range(20)]
+        doc = _minimal_doc(
+            hyperparameters=[{"name": f"x{j}", "min": lo, "max": hi}
+                             for j, (lo, hi) in enumerate(bounds)],
+            configs=[{"id": i, "values": v, "curve": [0.9, 0.4]} for i, v in enumerate(values)],
+        )
+        scaled = load_benchmark(_write(tmp_path, doc)).scaled_values
+        expected = [[0.0 if hi == lo else (v - lo) / (hi - lo) for v, (lo, hi) in zip(row, bounds)]
+                    for row in values]
+        assert scaled.tolist() == expected
 
 
 class TestEvaluate:

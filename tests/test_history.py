@@ -12,7 +12,7 @@ def test_append_and_iterate():
     h.append(Observation(config_id=2, budget=1, loss=0.7))
     assert len(h) == 3
     assert [o.budget for o in h] == [1, 2, 1]
-    assert h[2].config_id == 2
+    assert list(h)[2].config_id == 2
 
 
 def test_per_config_budgets_strictly_increasing():

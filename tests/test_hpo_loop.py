@@ -182,6 +182,26 @@ class TestRunContext:
         assert len(pool_ids) == tiny_table.n_configs - 1
 
 
+class TestRunSettings:
+    def test_invalid_step_rejected(self):
+        with pytest.raises(ValueError, match="b_step"):
+            RunSettings(b_step=0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("budget_multiplier", 0), ("budget_multiplier", -2), ("total_step_budget", 0)],
+    )
+    def test_invalid_budget_rejected(self, field, value):
+        # checked once at construction, so every method fails the same way
+        with pytest.raises(ValueError, match=field):
+            RunSettings(**{field: value})
+
+    def test_smallest_valid_settings_accepted(self, tiny_table):
+        settings = RunSettings(b_step=1, budget_multiplier=1)
+        assert settings.resolve_budget(tiny_table) == tiny_table.b_max
+        assert RunSettings(total_step_budget=1).resolve_budget(tiny_table) == 1
+
+
 class TestTrajectory:
     def test_rows_carry_normalization(self, tiny_table):
         settings = RunSettings(seed=2, total_step_budget=10)

@@ -25,31 +25,33 @@ def _zeroed(dims):
 class TestForward:
     def test_zero_network_maps_to_zero(self):
         net = _zeroed((3, 4, 4, 2))
-        out, _ = forward(net, np.array([1.0, -2.0, 3.0]))
-        assert np.array_equal(out, np.zeros(2))
+        out, _ = forward(net, np.array([[1.0, -2.0, 3.0]]))
+        assert np.array_equal(out, np.zeros((1, 2)))
 
     def test_identity_positive_input(self):
         net = _zeroed((1, 1, 1))
         net.weights[0][0, 0] = 1.0
         net.weights[1][0, 0] = 1.0
-        out, _ = forward(net, np.array([2.5]))
-        assert out[0] == pytest.approx(2.5)
+        out, _ = forward(net, np.array([[2.5]]))
+        assert out[0, 0] == pytest.approx(2.5)
 
     def test_leaky_relu_negative_input(self):
         net = _zeroed((1, 1, 1))
         net.weights[0][0, 0] = 1.0
         net.weights[1][0, 0] = 1.0
-        out, _ = forward(net, np.array([-1.0]))
-        assert out[0] == pytest.approx(-0.01)
+        out, _ = forward(net, np.array([[-1.0]]))
+        assert out[0, 0] == pytest.approx(-0.01)
 
     def test_shape_mismatch_rejected(self):
         net = _zeroed((3, 2))
         with pytest.raises(ValueError):
-            forward(net, np.zeros(4))
+            forward(net, np.zeros((1, 4)))
+        with pytest.raises(ValueError):
+            forward(net, np.zeros(3))  # a lone vector is not a batch
 
     def test_deterministic(self):
         net = DenseNetwork.create((4, 8, 8, 2), seed=5)
-        x = np.linspace(-1, 1, 4)
+        x = np.linspace(-1, 1, 4)[None, :]
         a, _ = forward(net, x)
         b, _ = forward(net, x)
         assert np.array_equal(a, b)
@@ -59,15 +61,15 @@ class TestForward:
         xs = np.random.default_rng(0).normal(size=(5, 3))
         batch_out, _ = forward(net, xs)
         for i in range(5):
-            single, _ = forward(net, xs[i])
-            assert np.allclose(single, batch_out[i])
+            single, _ = forward(net, xs[i : i + 1])
+            assert np.allclose(single[0], batch_out[i])
 
 
 class TestBackward:
     def test_zero_output_gradient_gives_zero(self):
         net = DenseNetwork.create((3, 4, 2), seed=2)
-        _, cache = forward(net, np.ones(3))
-        bundle = backward(net, cache, np.zeros(2))
+        _, cache = forward(net, np.ones((1, 3)))
+        bundle = backward(net, cache, np.zeros((1, 2)))
         assert np.all(bundle.flat == 0)
 
     def test_matches_finite_differences_through_l1(self):
@@ -76,8 +78,8 @@ class TestBackward:
         for seed in range(100):
             rng = np.random.default_rng(seed)
             net = DenseNetwork.create((3, 4, 2), seed=[seed, 1])
-            x = rng.normal(size=3)
-            y = rng.normal(size=2)
+            x = rng.normal(size=(1, 3))
+            y = rng.normal(size=(1, 2))
 
             def loss():
                 out, _ = forward(net, x)
@@ -94,13 +96,13 @@ class TestBackward:
     def test_stale_cache_rejected(self):
         net = DenseNetwork.create((3, 4, 2), seed=0)
         other = DenseNetwork.create((3, 5, 2), seed=0)
-        _, cache = forward(other, np.ones(3))
+        _, cache = forward(other, np.ones((1, 3)))
         with pytest.raises(ValueError):
-            backward(net, cache, np.zeros(2))
+            backward(net, cache, np.zeros((1, 2)))
 
     def test_exact_fit_contributes_zero_under_sign_convention(self):
         net = DenseNetwork.create((2, 3, 1), seed=4)
-        x = np.array([0.3, 0.7])
+        x = np.array([[0.3, 0.7]])
         out, cache = forward(net, x)
         _, dl = l1_loss(out, out.copy())
         bundle = backward(net, cache, dl)

@@ -19,6 +19,7 @@ from powerlaw_hpo.surrogate import (
     should_restart,
     snapshot_from_json,
     snapshot_to_json,
+    train_member_epochs,
 )
 
 from helpers import max_relative_error
@@ -109,33 +110,35 @@ def _fixed_ensemble(values):
 
 class TestPosterior:
     def test_two_member_arithmetic(self):
-        p = _fixed_ensemble([0.2, 0.4]).posterior(np.zeros(2), 1.0)
-        assert abs(p.mean - 0.3) <= 1e-12
-        assert abs(p.variance - 0.01) <= 1e-12
+        mean, var = _fixed_ensemble([0.2, 0.4]).posterior_batch(np.atleast_2d(np.zeros(2)), 1.0)
+        assert abs(mean[0] - 0.3) <= 1e-12
+        assert abs(var[0] - 0.01) <= 1e-12
 
     def test_three_member_arithmetic(self):
-        p = _fixed_ensemble([1.0, 2.0, 3.0]).posterior(np.zeros(2), 1.0)
-        assert abs(p.mean - 2.0) <= 1e-12
-        assert abs(p.variance - 2.0 / 3.0) <= 1e-12
+        x = np.atleast_2d(np.zeros(2))
+        mean, var = _fixed_ensemble([1.0, 2.0, 3.0]).posterior_batch(x, 1.0)
+        assert abs(mean[0] - 2.0) <= 1e-12
+        assert abs(var[0] - 2.0 / 3.0) <= 1e-12
 
     def test_identical_members_zero_variance(self):
-        p = _fixed_ensemble([0.7, 0.7, 0.7]).posterior(np.zeros(2), 1.0)
-        assert p.variance == 0.0
+        _, var = _fixed_ensemble([0.7, 0.7, 0.7]).posterior_batch(np.atleast_2d(np.zeros(2)), 1.0)
+        assert var[0] == 0.0
 
     def test_single_member(self):
         member = DplNetwork(2, seed=4, hidden_width=8)
         ens = DplEnsemble(hp_dim=2, seed=0, n_members=1, hidden_width=8)
         ens.members = [member]
         config = np.array([0.2, 0.9])
-        p = ens.posterior(config, 0.5)
-        assert p.mean == pytest.approx(float(member.predict(config, 0.5)[0]), abs=1e-12)
-        assert p.variance == 0.0
+        mean, var = ens.posterior_batch(np.atleast_2d(config), 0.5)
+        assert mean[0] == pytest.approx(float(member.predict(config, 0.5)[0]), abs=1e-12)
+        assert var[0] == 0.0
 
     def test_permutation_invariant(self):
-        a = _fixed_ensemble([0.1, 0.5, 0.9]).posterior(np.zeros(2), 1.0)
-        b = _fixed_ensemble([0.9, 0.1, 0.5]).posterior(np.zeros(2), 1.0)
-        assert a.mean == pytest.approx(b.mean, abs=1e-15)
-        assert a.variance == pytest.approx(b.variance, abs=1e-15)
+        x = np.atleast_2d(np.zeros(2))
+        a_mean, a_var = _fixed_ensemble([0.1, 0.5, 0.9]).posterior_batch(x, 1.0)
+        b_mean, b_var = _fixed_ensemble([0.9, 0.1, 0.5]).posterior_batch(x, 1.0)
+        assert a_mean[0] == pytest.approx(b_mean[0], abs=1e-15)
+        assert a_var[0] == pytest.approx(b_var[0], abs=1e-15)
 
 
 class TestFitInitial:
@@ -161,8 +164,8 @@ class TestFitInitial:
         )
         ens = DplEnsemble(hp_dim=2, seed=5)
         ens.fit_initial(data, TrainerSchedule.for_curve_length(8))
-        pred = ens.posterior(np.array([0.4, 0.7]), 0.25).mean
-        assert abs(pred - 0.62) < 0.05
+        mean, _ = ens.posterior_batch(np.atleast_2d(np.array([0.4, 0.7])), 0.25)
+        assert abs(mean[0] - 0.62) < 0.05
 
 
 class TestRefine:
@@ -172,8 +175,14 @@ class TestRefine:
         sched = TrainerSchedule.for_curve_length(8, refine_epochs=3)
         ens.fit_initial(data, sched)
         log: list = []
+        for member in ens.members:
+            def logged(data, idx, train=member.train_batch):
+                log.append(idx.copy())
+                return train(data, idx)
+
+            member.train_batch = logged
         newest = len(data) - 1
-        ens.refine(data, newest, sched, batch_log=log)
+        ens.refine(data, newest, sched)
         assert log, "instrumented batch log must record batches"
         assert all(newest in batch for batch in log)
 
@@ -304,8 +313,9 @@ class TestConditionedNetwork:
     def test_trains_with_shared_loop(self):
         data = _power_law_data()
         net = ConditionedNetwork(2, seed=1)
-        ens = DplEnsemble(hp_dim=2, seed=0, n_members=1, member_factory=ConditionedNetwork)
-        loss = ens.fit_initial(data, TrainerSchedule.for_curve_length(8))
+        sched = TrainerSchedule.for_curve_length(8)
+        rng = np.random.default_rng(0)
+        loss = train_member_epochs(net, data, sched.initial_epochs, sched.batch_size, rng)
         assert math.isfinite(loss)
         assert loss < 0.2
 

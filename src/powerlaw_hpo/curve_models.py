@@ -21,7 +21,7 @@ class CurveDomainError(ValueError):
 
 
 class Formulation(enum.Enum):
-    """Supported learning-curve shapes."""
+    """Learning-curve shapes; fit_single_curve fits POWER_LAW only, the rest are evaluated."""
 
     POWER_LAW = "power-law"                  # alpha + beta * b^(-gamma)
     SHIFTED_POWER_LAW = "shifted"            # alpha - beta * (b + d)^(-gamma)
@@ -142,143 +142,56 @@ class FitConfig:
     restarts: int = 3
     seed: int | tuple[int, ...] = 0
 
+    def __post_init__(self):
+        for name in ("max_epochs", "restarts"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
+
 
 @dataclass(frozen=True)
 class FitResult:
-    coefficients: PowerLawCoefficients | ExtendedCoefficients
+    coefficients: PowerLawCoefficients
     train_mae: float
     diverged: bool
 
 
-# Fits run in an internal parameter space chosen for optimizer
-# conditioning: scale-like parameters (beta for the decaying forms, the
-# break shift d and sharpness f) live in log space, which also keeps them
-# inside the formulation's domain.  The shifted/scaled forms keep a linear
-# (sign-free) beta since their base never spans decades.
-_N_INTERNAL_PARAMS = {
-    Formulation.POWER_LAW: 3,          # alpha, log beta, gamma
-    Formulation.SHIFTED_POWER_LAW: 4,  # alpha, beta, gamma, d
-    Formulation.SCALED_POWER_LAW: 5,   # alpha, beta, gamma, d, e
-    Formulation.BROKEN_POWER_LAW: 6,   # alpha, log beta, gamma, c, log d, log f
-}
-
-
+# Fits run in the internal parameter space (alpha, u = log beta, gamma):
+# a log-space beta conditions Adam across decades and keeps beta positive.
 def _initial_guess(
-    formulation: Formulation,
-    y: np.ndarray,
-    b: np.ndarray,
-    rng: np.random.Generator,
-    jitter: bool,
+    y: np.ndarray, b: np.ndarray, rng: np.random.Generator, jitter: bool
 ) -> np.ndarray:
     span = max(float(y.max() - y.min()), 1e-12)
     frac = rng.uniform(0.0, 0.5) if jitter else 0.05
-    if formulation in (Formulation.POWER_LAW, Formulation.BROKEN_POWER_LAW):
-        alpha = float(y.min()) - frac * span
-        d1 = max(float(y[0]) - alpha, 1e-9)
-        dm = max(float(y[-1]) - alpha, 1e-9)
-        denom = math.log(b[-1] / b[0]) if b[-1] > b[0] else 1.0
-        gamma = float(np.clip(math.log(d1 / dm) / denom, 0.01, 10.0))
-        if jitter:
-            gamma *= rng.uniform(0.6, 1.6)
-        u = math.log(d1) + gamma * math.log(b[0])
-        if formulation is Formulation.POWER_LAW:
-            return np.array([alpha, u, gamma])
-        c = rng.uniform(0.0, 0.5) if jitter else 0.0
-        log_d = math.log(float(np.median(b))) + (rng.normal(0.0, 0.5) if jitter else 0.0)
-        log_f = rng.normal(0.0, 0.5) if jitter else 0.0
-        return np.array([alpha, u, gamma, c, log_d, log_f])
-    # shifted / scaled: saturating toward alpha from below
-    alpha = float(y.max()) + frac * span
-    d = rng.uniform(0.01, 1.0) if jitter else 0.1
-    r1 = max(alpha - float(y[0]), 1e-9)
-    rm = max(alpha - float(y[-1]), 1e-9)
-    denom = math.log((b[-1] + d) / (b[0] + d))
-    gamma = float(np.clip(math.log(r1 / rm) / denom, 0.01, 10.0)) if denom > 0 else 1.0
+    alpha = float(y.min()) - frac * span
+    d1 = max(float(y[0]) - alpha, 1e-9)
+    dm = max(float(y[-1]) - alpha, 1e-9)
+    denom = math.log(b[-1] / b[0]) if b[-1] > b[0] else 1.0
+    gamma = float(np.clip(math.log(d1 / dm) / denom, 0.01, 10.0))
     if jitter:
         gamma *= rng.uniform(0.6, 1.6)
-    beta = r1 * (b[0] + d) ** gamma
-    if formulation is Formulation.SHIFTED_POWER_LAW:
-        return np.array([alpha, beta, gamma, d])
-    e = rng.uniform(0.5, 1.5) if jitter else 1.0
-    return np.array([alpha, beta, gamma, d, e])
+    u = math.log(d1) + gamma * math.log(b[0])
+    return np.array([alpha, u, gamma])
 
 
 def _internal_values_jac(
-    formulation: Formulation,
-    q: np.ndarray,
-    b: np.ndarray,
-    *,
-    lnb: np.ndarray,
-    neg_lnb: np.ndarray,
-    jac: np.ndarray,
+    q: np.ndarray, *, lnb: np.ndarray, neg_lnb: np.ndarray, jac: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Model values and jacobian in the internal fit space.
 
-    Invalid bases for the shifted/scaled forms are clamped (with zero
-    gradient) instead of raising, so Adam can wander through bad regions
-    and recover.
-
     The caller passes the per-fit invariants ``lnb = log(b)`` and
-    ``neg_lnb = -lnb`` and an ``(n, n_params)`` ``jac`` buffer whose
-    column 0 already holds 1.0; the returned jacobian is that buffer,
-    overwritten by the next call.
+    ``neg_lnb = -lnb`` and an ``(n, 3)`` ``jac`` buffer whose column 0
+    already holds 1.0; the returned jacobian is that buffer, overwritten
+    by the next call.
     """
-    if formulation is Formulation.POWER_LAW:
-        alpha, u, gamma = q.tolist()
-        power = jac[:, 1]
-        np.multiply(lnb, gamma, out=power)
-        np.subtract(u, power, out=power)
-        np.exp(power, out=power)
-        vals = power + alpha
-        np.multiply(neg_lnb, power, out=jac[:, 2])
-        return vals, jac
-    if formulation in (Formulation.SHIFTED_POWER_LAW, Formulation.SCALED_POWER_LAW):
-        if formulation is Formulation.SHIFTED_POWER_LAW:
-            alpha, beta, gamma, d = q
-            e = 1.0
-        else:
-            alpha, beta, gamma, d, e = q
-        raw_base = e * b + d
-        valid = raw_base > _BREAK_BASE_FLOOR
-        base = np.maximum(raw_base, _BREAK_BASE_FLOOR)
-        lnbase = np.log(base)
-        power = np.exp(-gamma * lnbase)
-        vals = alpha - beta * power
-        dpower_dbase = -gamma * power / base * valid
-        jac[:, 1] = -power
-        jac[:, 2] = beta * lnbase * power
-        jac[:, 3] = -beta * dpower_dbase
-        if formulation is Formulation.SCALED_POWER_LAW:
-            jac[:, 4] = -beta * dpower_dbase * b
-        return vals, jac
-    alpha, u, gamma, c, log_d, log_f = q
-    f = math.exp(log_f)
-    power = np.exp(u - gamma * lnb)
-    t = np.exp((lnb - log_d) / f)  # (b/d)^(1/f)
-    base = 1.0 + t
-    lnbase = np.log(base)
-    qfac = np.exp(-c * f * lnbase)
-    vals = alpha + power * qfac
-    pq = power * qfac
-    jac[:, 1] = pq
-    jac[:, 2] = -lnb * pq
-    jac[:, 3] = pq * (-f * lnbase)
-    jac[:, 4] = pq * c * t / base            # via d(t)/d(log_d) = -t/f, times -c*f/base
-    jac[:, 5] = pq * c * (t * (lnb - log_d) / base - f * lnbase)
+    alpha, u, gamma = q.tolist()
+    power = jac[:, 1]
+    np.multiply(lnb, gamma, out=power)
+    np.subtract(u, power, out=power)
+    np.exp(power, out=power)
+    vals = power + alpha
+    np.multiply(neg_lnb, power, out=jac[:, 2])
     return vals, jac
-
-
-def _external_coefficients(formulation: Formulation, q: np.ndarray):
-    p = [float(x) for x in q]
-    if formulation is Formulation.POWER_LAW:
-        return PowerLawCoefficients(alpha=p[0], beta=math.exp(p[1]), gamma=p[2])
-    if formulation is Formulation.SHIFTED_POWER_LAW:
-        return ExtendedCoefficients(alpha=p[0], beta=p[1], gamma=p[2], d=p[3])
-    if formulation is Formulation.SCALED_POWER_LAW:
-        return ExtendedCoefficients(alpha=p[0], beta=p[1], gamma=p[2], d=p[3], e=p[4])
-    return ExtendedCoefficients(
-        alpha=p[0], beta=math.exp(p[1]), gamma=p[2], c=p[3], d=math.exp(p[4]), f=math.exp(p[5])
-    )
 
 
 def predict(formulation: Formulation, coefficients, b: float) -> float:
@@ -293,19 +206,14 @@ def predict(formulation: Formulation, coefficients, b: float) -> float:
 
 
 def fit_single_curve(
-    observed_values,
-    max_budget: int,
-    formulation: Formulation = Formulation.POWER_LAW,
-    fit_config: FitConfig | None = None,
+    observed_values, max_budget: int, fit_config: FitConfig | None = None
 ) -> FitResult:
-    """Fit one formulation to an observed curve prefix by Adam on the MAE.
+    """Fit the power law to an observed curve prefix by Adam on the MAE.
 
     ``observed_values`` are the losses at steps 1..len(observed_values) of a
     curve whose full length is ``max_budget``; budgets are normalized to
-    (0, 1] before fitting.  The power-law and broken forms model curves
-    decaying toward the asymptote (min-smooth diverging curves first); the
-    shifted/scaled forms carry a sign-free scale and can saturate from
-    either side.
+    (0, 1] before fitting.  The power law models curves decaying toward
+    the asymptote (min-smooth diverging curves first).
 
     A non-finite training loss aborts the offending restart; the best
     coefficients across restarts are returned, with ``diverged=True`` when
@@ -326,7 +234,7 @@ def fit_single_curve(
     n = y.size
     lnb = np.log(b)
     neg_lnb = -lnb
-    jac = np.empty((n, _N_INTERNAL_PARAMS[formulation]))
+    jac = np.empty((n, 3))
     jac[:, 0] = 1.0
     buf = np.empty(n)  # |resid|, then the loss gradient sign(resid) / n
     lrs = [
@@ -334,17 +242,15 @@ def fit_single_curve(
         for epoch in range(cfg.max_epochs)
     ]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for attempt in range(max(1, cfg.restarts)):
+        for attempt in range(cfg.restarts):
             rng = np.random.default_rng(seed_base + (attempt,))
-            params = _initial_guess(formulation, y, b, rng, jitter=attempt > 0)
+            params = _initial_guess(y, b, rng, jitter=attempt > 0)
             # extreme observations can push a guess out of float range
             params = np.clip(np.nan_to_num(params), -1e3, 1e3)
             state = AdamState.for_params(params, lr=cfg.lr)
             for lr in lrs:
                 state.lr = lr
-                resid, _ = _internal_values_jac(
-                    formulation, params, b, lnb=lnb, neg_lnb=neg_lnb, jac=jac
-                )
+                resid, _ = _internal_values_jac(params, lnb=lnb, neg_lnb=neg_lnb, jac=jac)
                 resid -= y
                 # np.mean's own sum-then-divide, without its wrapper
                 loss = float(np.add.reduce(np.abs(resid, out=buf)) / n)
@@ -367,14 +273,13 @@ def fit_single_curve(
                 break
     if best_params is None:
         # no restart ever produced a finite loss; report the plain guess
-        guess = _initial_guess(
-            formulation, y, b, np.random.default_rng(seed_base + (0,)), jitter=False
-        )
+        guess = _initial_guess(y, b, np.random.default_rng(seed_base + (0,)), jitter=False)
         best_params = np.clip(np.nan_to_num(guess), -1e3, 1e3)
         best_loss = float("nan")
         diverged = True
+    alpha, u, gamma = best_params.tolist()
     return FitResult(
-        coefficients=_external_coefficients(formulation, best_params),
+        coefficients=PowerLawCoefficients(alpha=alpha, beta=math.exp(u), gamma=gamma),
         train_mae=best_loss,
         diverged=diverged,
     )

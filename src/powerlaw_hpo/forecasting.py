@@ -119,7 +119,6 @@ def run_forecast_experiment(
             result = fit_single_curve(
                 table.loss_curves[i, :observed_steps],
                 max_budget=table.b_max,
-                formulation=Formulation.POWER_LAW,
                 fit_config=FitConfig(
                     lr=cfg.lr,
                     max_epochs=cfg.max_epochs,

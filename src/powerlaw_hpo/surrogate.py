@@ -392,8 +392,19 @@ def ensemble_snapshot(ensemble: DplEnsemble, schedule: TrainerSchedule) -> dict:
     }
 
 
+def _snapshot_vector(values, size: int, path: str) -> np.ndarray:
+    vec = np.asarray(values, dtype=float)
+    if vec.shape != (size,):
+        raise ValueError(f"{path}: expected {size} values, got shape {vec.shape}")
+    return vec
+
+
 def ensemble_from_snapshot(doc: dict) -> tuple[DplEnsemble, TrainerSchedule]:
-    """Rebuild an ensemble and its schedule from a snapshot document."""
+    """Rebuild an ensemble and its schedule from a snapshot document.
+
+    Raises ValueError, naming the field, when the member list or a
+    member's parameter or moment vector does not fit the ensemble.
+    """
     if doc.get("version") != SNAPSHOT_VERSION:
         raise ValueError(f"unsupported snapshot version {doc.get('version')!r}")
     ens = DplEnsemble(
@@ -405,19 +416,21 @@ def ensemble_from_snapshot(doc: dict) -> tuple[DplEnsemble, TrainerSchedule]:
     ens.init_round = doc["init_round"]
     ens.fit_round = doc["fit_round"]
     ens.restart_count = doc["restart_count"]
-    for member, mdoc in zip(ens.members, doc["members"]):
+    if len(doc["members"]) != ens.n_members:
+        raise ValueError(f"members: expected {ens.n_members} entries, got {len(doc['members'])}")
+    for k, (member, mdoc) in enumerate(zip(ens.members, doc["members"])):
         dims = tuple(mdoc["layer_dims"])
         if dims != member.body.layer_dims:
             raise ValueError(f"snapshot layer_dims {dims} != expected {member.body.layer_dims}")
         member.init_seed = mdoc["init_seed"]
-        member.body.flat_params[...] = np.asarray(mdoc["params"], dtype=float)
+        flat = member.body.flat_params
+        flat[...] = _snapshot_vector(mdoc["params"], flat.size, f"members[{k}].params")
         adam = mdoc["adam"]
-        member.adam = AdamState(
-            first_moment=np.asarray(adam["first_moment"], dtype=float),
-            second_moment=np.asarray(adam["second_moment"], dtype=float),
-            step_count=adam["step_count"],
-            lr=adam["lr"],
-        )
+        moments = {
+            name: _snapshot_vector(adam[name], flat.size, f"members[{k}].adam.{name}")
+            for name in ("first_moment", "second_moment")
+        }
+        member.adam = AdamState(**moments, step_count=adam["step_count"], lr=adam["lr"])
     return ens, TrainerSchedule(**doc["schedule"])
 
 

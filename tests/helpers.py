@@ -6,13 +6,7 @@ import math
 
 import numpy as np
 
-from powerlaw_hpo.curve_models import (
-    _BREAK_BASE_FLOOR,
-    FitResult,
-    Formulation,
-    _external_coefficients,
-    _initial_guess,
-)
+from powerlaw_hpo.curve_models import FitResult, PowerLawCoefficients, _initial_guess
 from powerlaw_hpo.neural_core import AdamState, adam_step, backward, forward
 from powerlaw_hpo.surrogate import _power_law_head, _power_law_head_backward
 
@@ -61,59 +55,22 @@ def max_relative_error(analytic: np.ndarray, numeric: np.ndarray, floor: float =
     return float(np.max(np.abs(analytic - numeric) / denom))
 
 
-def reference_internal_values_jac(formulation, q, b):
-    """The per-curve fit's model values and jacobian as first written: a
-    fresh jacobian and a fresh ``np.log(b)`` on every call."""
+def reference_internal_values_jac(q, b):
+    """The per-curve power-law fit's model values and jacobian as first
+    written: a fresh jacobian and a fresh ``np.log(b)`` on every call."""
     n = b.shape[0]
     jac = np.empty((n, q.shape[0]))
     lnb = np.log(b)
-    if formulation is Formulation.POWER_LAW:
-        alpha, u, gamma = q
-        power = np.exp(u - gamma * lnb)
-        vals = alpha + power
-        jac[:, 0] = 1.0
-        jac[:, 1] = power
-        jac[:, 2] = -lnb * power
-        return vals, jac
-    if formulation in (Formulation.SHIFTED_POWER_LAW, Formulation.SCALED_POWER_LAW):
-        if formulation is Formulation.SHIFTED_POWER_LAW:
-            alpha, beta, gamma, d = q
-            e = 1.0
-        else:
-            alpha, beta, gamma, d, e = q
-        raw_base = e * b + d
-        valid = raw_base > _BREAK_BASE_FLOOR
-        base = np.maximum(raw_base, _BREAK_BASE_FLOOR)
-        lnbase = np.log(base)
-        power = np.exp(-gamma * lnbase)
-        vals = alpha - beta * power
-        dpower_dbase = -gamma * power / base * valid
-        jac[:, 0] = 1.0
-        jac[:, 1] = -power
-        jac[:, 2] = beta * lnbase * power
-        jac[:, 3] = -beta * dpower_dbase
-        if formulation is Formulation.SCALED_POWER_LAW:
-            jac[:, 4] = -beta * dpower_dbase * b
-        return vals, jac
-    alpha, u, gamma, c, log_d, log_f = q
-    f = math.exp(log_f)
+    alpha, u, gamma = q
     power = np.exp(u - gamma * lnb)
-    t = np.exp((lnb - log_d) / f)
-    base = 1.0 + t
-    lnbase = np.log(base)
-    qfac = np.exp(-c * f * lnbase)
-    vals = alpha + power * qfac
-    pq = power * qfac
+    vals = alpha + power
     jac[:, 0] = 1.0
-    jac[:, 1] = pq
-    jac[:, 2] = -lnb * pq
-    jac[:, 3] = pq * (-f * lnbase)
-    jac[:, 4] = pq * c * t / base
-    jac[:, 5] = pq * c * (t * (lnb - log_d) / base - f * lnbase)
+    jac[:, 1] = power
+    jac[:, 2] = -lnb * power
     return vals, jac
 
 
-def reference_fit_single_curve(observed_values, max_budget, formulation, fit_config):
+def reference_fit_single_curve(observed_values, max_budget, fit_config):
     """Bit-identity oracle for ``curve_models.fit_single_curve``: the same
     restarts and Adam steps, with every per-step quantity (learning rate,
     ``np.log(b)``, jacobian, ``np.mean``) recomputed inside the loop."""
@@ -125,14 +82,14 @@ def reference_fit_single_curve(observed_values, max_budget, formulation, fit_con
     best_loss = math.inf
     diverged = False
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for attempt in range(max(1, cfg.restarts)):
+        for attempt in range(cfg.restarts):
             rng = np.random.default_rng(seed_base + (attempt,))
-            params = _initial_guess(formulation, y, b, rng, jitter=attempt > 0)
+            params = _initial_guess(y, b, rng, jitter=attempt > 0)
             params = np.clip(np.nan_to_num(params), -1e3, 1e3)
             state = AdamState.for_params(params, lr=cfg.lr)
             for epoch in range(cfg.max_epochs):
                 state.lr = cfg.lr * 0.5 * (1.0 + math.cos(math.pi * epoch / cfg.max_epochs))
-                vals, jac = reference_internal_values_jac(formulation, params, b)
+                vals, jac = reference_internal_values_jac(params, b)
                 resid = vals - y
                 loss = float(np.mean(np.abs(resid)))
                 if not math.isfinite(loss):
@@ -151,14 +108,13 @@ def reference_fit_single_curve(observed_values, max_budget, formulation, fit_con
             if best_loss < 1e-10:
                 break
     if best_params is None:
-        guess = _initial_guess(
-            formulation, y, b, np.random.default_rng(seed_base + (0,)), jitter=False
-        )
+        guess = _initial_guess(y, b, np.random.default_rng(seed_base + (0,)), jitter=False)
         best_params = np.clip(np.nan_to_num(guess), -1e3, 1e3)
         best_loss = float("nan")
         diverged = True
+    p = [float(x) for x in best_params]
     return FitResult(
-        coefficients=_external_coefficients(formulation, best_params),
+        coefficients=PowerLawCoefficients(alpha=p[0], beta=math.exp(p[1]), gamma=p[2]),
         train_mae=best_loss,
         diverged=diverged,
     )

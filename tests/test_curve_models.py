@@ -175,40 +175,33 @@ class TestLearningCurve:
             LearningCurve.from_values([0.1, math.nan])
 
 
-def _values_jac(formulation, q, b):
+def _values_jac(q, b):
     """One call on fresh buffers, set up as the fit loop sets up its own."""
     lnb = np.log(b)
-    jac = np.empty((b.size, q.size))
+    jac = np.empty((b.size, 3))
     jac[:, 0] = 1.0
-    return _internal_values_jac(formulation, q, b, lnb=lnb, neg_lnb=-lnb, jac=jac)
+    return _internal_values_jac(q, lnb=lnb, neg_lnb=-lnb, jac=jac)
 
 
 class TestFitJacobians:
-    """The fitter's analytic jacobians against central finite differences."""
+    """The fitter's analytic jacobian against central finite differences."""
 
-    @pytest.mark.parametrize(
-        "formulation",
-        [
-            Formulation.POWER_LAW,
-            Formulation.SHIFTED_POWER_LAW,
-            Formulation.SCALED_POWER_LAW,
-            Formulation.BROKEN_POWER_LAW,
-        ],
-    )
+    # the per-curve fit covers one shape: the power law
+    @pytest.mark.parametrize("formulation", [Formulation.POWER_LAW])
     def test_matches_finite_differences(self, formulation):
         rng = np.random.default_rng(5)
         b = np.arange(1, 9) / 8.0
         y = rng.uniform(0.1, 1.0, size=8)
         for trial in range(20):
-            q = _initial_guess(formulation, y, b, np.random.default_rng([trial]), jitter=True)
-            _, jac = _values_jac(formulation, q, b)
+            q = _initial_guess(y, b, np.random.default_rng([trial]), jitter=True)
+            _, jac = _values_jac(q, b)
             h = 1e-7
             for j in range(q.size):
                 stepped = q.copy()
                 stepped[j] += h
-                up, _ = _values_jac(formulation, stepped, b)
+                up, _ = _values_jac(stepped, b)
                 stepped[j] -= 2 * h
-                down, _ = _values_jac(formulation, stepped, b)
+                down, _ = _values_jac(stepped, b)
                 numeric = (up - down) / (2 * h)
                 assert np.allclose(jac[:, j], numeric, rtol=1e-4, atol=1e-6), (
                     formulation,
@@ -240,20 +233,13 @@ class TestFitSingleCurve:
             assert abs(predict(Formulation.POWER_LAW, result.coefficients, b) - y) < 1e-2
 
     @pytest.mark.parametrize(
-        "formulation,coeffs",
-        [
-            (Formulation.POWER_LAW, PowerLawCoefficients(0.25, 0.4, 1.2)),
-            (Formulation.SHIFTED_POWER_LAW, ExtendedCoefficients(0.8, 0.5, 1.0, d=0.2)),
-            (Formulation.SCALED_POWER_LAW, ExtendedCoefficients(0.8, 0.5, 1.0, d=0.2, e=1.3)),
-            (Formulation.BROKEN_POWER_LAW, ExtendedCoefficients(0.2, 0.6, 0.8, c=0.5, d=0.5, f=1.0)),
-        ],
+        "formulation,coeffs", [(Formulation.POWER_LAW, PowerLawCoefficients(0.25, 0.4, 1.2))]
     )
     def test_same_formulation_reaches_low_mae(self, formulation, coeffs):
         b = np.arange(1, 11) / 10.0
         y = [predict(formulation, coeffs, x) for x in b]
         result = fit_single_curve(
-            y, max_budget=10, formulation=formulation,
-            fit_config=FitConfig(max_epochs=3000, restarts=5, seed=0),
+            y, max_budget=10, fit_config=FitConfig(max_epochs=3000, restarts=5, seed=0)
         )
         assert result.train_mae < 1e-3
         for field in vars(result.coefficients).values():
@@ -282,6 +268,21 @@ class TestFitSingleCurve:
             fit_single_curve([0.5], max_budget=10)
 
 
+class TestFitConfig:
+    @pytest.mark.parametrize("field", ["max_epochs", "restarts"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_non_positive_counts_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            FitConfig(**{field: value})
+
+    def test_single_epoch_single_restart_fits(self):
+        result = fit_single_curve(
+            [0.9, 0.6, 0.5], max_budget=10, fit_config=FitConfig(max_epochs=1, restarts=1)
+        )
+        assert math.isfinite(result.train_mae)
+        assert not result.diverged
+
+
 def _same_fit(a, b) -> bool:
     mae_equal = a.train_mae == b.train_mae or (math.isnan(a.train_mae) and math.isnan(b.train_mae))
     return a.coefficients == b.coefficients and mae_equal and a.diverged == b.diverged
@@ -300,12 +301,12 @@ class TestFitBitIdentity:
         ([1e308, 1e307, 1e306, 1e305, 1e304], 10),          # overflows: diverged
     ]
 
-    @pytest.mark.parametrize("formulation", list(Formulation))
+    @pytest.mark.parametrize("formulation", [Formulation.POWER_LAW])
     def test_matches_reference_loop(self, formulation):
         for i, (curve, max_budget) in enumerate(self.CURVES):
             cfg = FitConfig(max_epochs=200, restarts=3, seed=(4, i))
-            got = fit_single_curve(curve, max_budget, formulation, cfg)
-            want = reference_fit_single_curve(curve, max_budget, formulation, cfg)
+            got = fit_single_curve(curve, max_budget, cfg)
+            want = reference_fit_single_curve(curve, max_budget, cfg)
             assert _same_fit(got, want), (formulation, curve, got, want)
 
 

@@ -38,7 +38,7 @@ def tiny_runs(monkeypatch):
     monkeypatch.setattr(forecasting, "TrainerSchedule", _TinySchedule)
     # fit_initial, then refine and restart in turn, so every phase is traced
     ticks = itertools.count(1)
-    monkeypatch.setattr(hpo_loop, "should_restart", lambda schedule, loss: next(ticks) % 2 == 0)
+    monkeypatch.setattr(hpo_loop, "should_restart", lambda stagnation, loss: next(ticks) % 2 == 0)
 
 
 def test_every_hook_resolves_and_fires_once(tiny_runs, tmp_path):

@@ -298,6 +298,29 @@ class TestSnapshot:
             with pytest.raises(ValueError):
                 ensemble_from_snapshot(doc)
 
+    def _snapshot(self):
+        ens = DplEnsemble(hp_dim=2, seed=0, n_members=3, hidden_width=4)
+        return ensemble_snapshot(ens, TrainerSchedule())
+
+    def test_short_member_list_rejected(self):
+        doc = self._snapshot()
+        doc["members"] = doc["members"][:2]
+        with pytest.raises(ValueError, match=r"^members: expected 3 entries, got 2$"):
+            ensemble_from_snapshot(doc)
+
+    def test_params_length_checked(self):
+        doc = self._snapshot()
+        doc["members"][0]["params"] = [0.5]
+        with pytest.raises(ValueError, match=r"^members\[0\]\.params: "):
+            ensemble_from_snapshot(doc)
+
+    @pytest.mark.parametrize("moment", ["first_moment", "second_moment"])
+    def test_adam_moment_length_checked(self, moment):
+        doc = self._snapshot()
+        doc["members"][1]["adam"][moment].pop()
+        with pytest.raises(ValueError, match=rf"^members\[1\]\.adam\.{moment}: "):
+            ensemble_from_snapshot(doc)
+
 
 class TestConditionedNetwork:
     def test_zero_network_predicts_zero(self):

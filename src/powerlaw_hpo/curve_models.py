@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .neural_core import AdamState, adam_step
+from .neural_core import ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON
 
 
 class CurveDomainError(ValueError):
@@ -175,7 +175,8 @@ def _initial_guess(
 
 
 def _internal_values_jac(
-    q: np.ndarray, *, lnb: np.ndarray, neg_lnb: np.ndarray, jac: np.ndarray
+    alpha: float, u: float, gamma: float, *,
+    lnb: np.ndarray, neg_lnb: np.ndarray, jac: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Model values and jacobian in the internal fit space.
 
@@ -184,7 +185,6 @@ def _internal_values_jac(
     already holds 1.0; the returned jacobian is that buffer, overwritten
     by the next call.
     """
-    alpha, u, gamma = q.tolist()
     power = jac[:, 1]
     np.multiply(lnb, gamma, out=power)
     np.subtract(u, power, out=power)
@@ -192,6 +192,36 @@ def _internal_values_jac(
     vals = power + alpha
     np.multiply(neg_lnb, power, out=jac[:, 2])
     return vals, jac
+
+
+@dataclass(slots=True)
+class _CoefficientAdam:
+    """Adam moments of the fit's three coefficients, as Python floats."""
+
+    lr: float
+    first_moment: list[float] = field(default_factory=lambda: [0.0, 0.0, 0.0])
+    second_moment: list[float] = field(default_factory=lambda: [0.0, 0.0, 0.0])
+    step_count: int = 0
+
+
+def adam_step(params: list[float], grad: list[float], state: _CoefficientAdam) -> None:
+    """``neural_core.adam_step`` on three Python floats, applied in place.
+
+    The same operations on the same operands in the same order, so every
+    value is bit-identical to the vector update, without numpy's per-call
+    overhead on a length-3 array.
+    """
+    state.step_count += 1
+    t = state.step_count
+    bc1 = 1.0 - ADAM_BETA1**t
+    bc2 = 1.0 - ADAM_BETA2**t
+    scale = state.lr / bc1
+    m, v = state.first_moment, state.second_moment
+    for i in range(3):
+        g = grad[i]
+        m[i] = mi = m[i] * ADAM_BETA1 + g * (1.0 - ADAM_BETA1)
+        v[i] = vi = v[i] * ADAM_BETA2 + g * g * (1.0 - ADAM_BETA2)
+        params[i] -= mi / (math.sqrt(vi / bc2) + ADAM_EPSILON) * scale
 
 
 def predict(formulation: Formulation, coefficients, b: float) -> float:
@@ -227,7 +257,7 @@ def fit_single_curve(
     cfg = fit_config or FitConfig()
     b = np.arange(1, y.size + 1, dtype=float) / float(max_budget)
     seed_base = cfg.seed if isinstance(cfg.seed, tuple) else (cfg.seed,)
-    best_params: np.ndarray | None = None
+    best_params: tuple[float, float, float] | None = None
     best_loss = math.inf
     diverged = False
     # per-fit invariants, hoisted out of the restarts x epochs Adam loop
@@ -246,26 +276,26 @@ def fit_single_curve(
             rng = np.random.default_rng(seed_base + (attempt,))
             params = _initial_guess(y, b, rng, jitter=attempt > 0)
             # extreme observations can push a guess out of float range
-            params = np.clip(np.nan_to_num(params), -1e3, 1e3)
-            state = AdamState.for_params(params, lr=cfg.lr)
+            params = np.clip(np.nan_to_num(params), -1e3, 1e3).tolist()
+            state = _CoefficientAdam(lr=cfg.lr)
             for lr in lrs:
                 state.lr = lr
-                resid, _ = _internal_values_jac(params, lnb=lnb, neg_lnb=neg_lnb, jac=jac)
+                resid, _ = _internal_values_jac(*params, lnb=lnb, neg_lnb=neg_lnb, jac=jac)
                 resid -= y
                 # np.mean's own sum-then-divide, without its wrapper
-                loss = float(np.add.reduce(np.abs(resid, out=buf)) / n)
+                loss = float(np.add.reduce(np.abs(resid, out=buf))) / n
                 if not math.isfinite(loss):
                     diverged = True
                     break
                 if loss < best_loss:
                     best_loss = loss
-                    best_params = params.copy()
+                    best_params = tuple(params)
                 if loss < 1e-12:
                     break
                 np.sign(resid, out=buf)
                 buf /= n
-                grad = buf @ jac
-                if not all(map(math.isfinite, grad.tolist())):
+                grad = (buf @ jac).tolist()
+                if not all(map(math.isfinite, grad)):
                     diverged = True
                     break
                 adam_step(params, grad, state)
@@ -274,10 +304,10 @@ def fit_single_curve(
     if best_params is None:
         # no restart ever produced a finite loss; report the plain guess
         guess = _initial_guess(y, b, np.random.default_rng(seed_base + (0,)), jitter=False)
-        best_params = np.clip(np.nan_to_num(guess), -1e3, 1e3)
+        best_params = tuple(np.clip(np.nan_to_num(guess), -1e3, 1e3).tolist())
         best_loss = float("nan")
         diverged = True
-    alpha, u, gamma = best_params.tolist()
+    alpha, u, gamma = best_params
     return FitResult(
         coefficients=PowerLawCoefficients(alpha=alpha, beta=math.exp(u), gamma=gamma),
         train_mae=best_loss,

@@ -165,7 +165,7 @@ def backward(
     for i in range(n_layers - 1, -1, -1):
         # g is the gradient w.r.t. pre-activation z_i here
         np.matmul(cache.inputs[i].T, g, out=bundle.weights[i])
-        np.sum(g, axis=0, out=bundle.biases[i])
+        np.add.reduce(g, axis=0, out=bundle.biases[i])  # np.sum without its wrapper
         if i > 0:
             g = g @ net.weights[i].T
             g *= _leaky_relu_grad(cache.pre_activations[i - 1])
@@ -179,7 +179,8 @@ def l1_loss(predictions, targets) -> tuple[float, np.ndarray]:
     if p.shape != t.shape or p.size == 0:
         raise ValueError(f"shape mismatch or empty input: {p.shape} vs {t.shape}")
     diff = p - t
-    loss = float(np.mean(np.abs(diff)))
+    # np.mean's own sum-then-divide, without its wrapper
+    loss = float(np.add.reduce(np.abs(diff), axis=None) / diff.size)
     grad = np.sign(diff) / diff.size
     return loss, grad
 

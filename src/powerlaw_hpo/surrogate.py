@@ -392,10 +392,18 @@ def ensemble_snapshot(ensemble: DplEnsemble, schedule: TrainerSchedule) -> dict:
     }
 
 
-def _snapshot_vector(values, size: int, path: str) -> np.ndarray:
-    vec = np.asarray(values, dtype=float)
+def _snapshot_field(doc: dict, key: str, path: str):
+    if key not in doc:
+        raise ValueError(f"{path}.{key}: missing")
+    return doc[key]
+
+
+def _snapshot_vector(doc: dict, key: str, size: int, path: str) -> np.ndarray:
+    vec = np.asarray(_snapshot_field(doc, key, path), dtype=float)
     if vec.shape != (size,):
-        raise ValueError(f"{path}: expected {size} values, got shape {vec.shape}")
+        raise ValueError(f"{path}.{key}: expected {size} values, got shape {vec.shape}")
+    if not np.all(np.isfinite(vec)):
+        raise ValueError(f"{path}.{key}: non-finite value")
     return vec
 
 
@@ -403,7 +411,8 @@ def ensemble_from_snapshot(doc: dict) -> tuple[DplEnsemble, TrainerSchedule]:
     """Rebuild an ensemble and its schedule from a snapshot document.
 
     Raises ValueError, naming the field, when the member list or a
-    member's parameter or moment vector does not fit the ensemble.
+    member's parameter or moment vector does not fit the ensemble, when a
+    member field is missing or non-finite, or when a step count is negative.
     """
     if doc.get("version") != SNAPSHOT_VERSION:
         raise ValueError(f"unsupported snapshot version {doc.get('version')!r}")
@@ -423,14 +432,19 @@ def ensemble_from_snapshot(doc: dict) -> tuple[DplEnsemble, TrainerSchedule]:
         if dims != member.body.layer_dims:
             raise ValueError(f"snapshot layer_dims {dims} != expected {member.body.layer_dims}")
         member.init_seed = mdoc["init_seed"]
+        path = f"members[{k}]"
         flat = member.body.flat_params
-        flat[...] = _snapshot_vector(mdoc["params"], flat.size, f"members[{k}].params")
-        adam = mdoc["adam"]
+        flat[...] = _snapshot_vector(mdoc, "params", flat.size, path)
+        adam = _snapshot_field(mdoc, "adam", path)
+        path += ".adam"
         moments = {
-            name: _snapshot_vector(adam[name], flat.size, f"members[{k}].adam.{name}")
+            name: _snapshot_vector(adam, name, flat.size, path)
             for name in ("first_moment", "second_moment")
         }
-        member.adam = AdamState(**moments, step_count=adam["step_count"], lr=adam["lr"])
+        step_count = _snapshot_field(adam, "step_count", path)
+        if step_count < 0:
+            raise ValueError(f"{path}.step_count: must be >= 0, got {step_count}")
+        member.adam = AdamState(**moments, step_count=step_count, lr=_snapshot_field(adam, "lr", path))
     return ens, TrainerSchedule(**doc["schedule"])
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from powerlaw_hpo import curve_models
+from powerlaw_hpo import curve_models, neural_core
 from powerlaw_hpo.curve_models import (
     CurveDomainError,
     ExtendedCoefficients,
@@ -13,6 +13,7 @@ from powerlaw_hpo.curve_models import (
     Formulation,
     LearningCurve,
     PowerLawCoefficients,
+    _CoefficientAdam,
     _initial_guess,
     _internal_values_jac,
     eval_broken_power_law,
@@ -180,7 +181,7 @@ def _values_jac(q, b):
     lnb = np.log(b)
     jac = np.empty((b.size, 3))
     jac[:, 0] = 1.0
-    return _internal_values_jac(q, lnb=lnb, neg_lnb=-lnb, jac=jac)
+    return _internal_values_jac(*q, lnb=lnb, neg_lnb=-lnb, jac=jac)
 
 
 class TestFitJacobians:
@@ -334,3 +335,41 @@ class TestFitStepCount:
     def test_exact_first_guess_takes_no_step(self, monkeypatch):
         cfg = FitConfig(max_epochs=150, restarts=3, seed=0)
         assert self._count_steps(monkeypatch, [1.0, 0.5], 2, cfg) == 0
+
+
+class TestCoefficientAdam:
+    """The fit's float-by-float Adam against ``neural_core.adam_step`` on a
+    length-3 array: equal with ``==`` after every step."""
+
+    # 0, subnormal and tiny gradients underflow their squares; 1e300
+    # overflows its square, after which that coefficient stops moving
+    TINY = (0.0, 5e-324, -5e-324, 1e-300, -1e-300)
+
+    def test_matches_vector_adam_bit_for_bit(self):
+        cfg = FitConfig()
+        lrs = [
+            cfg.lr * 0.5 * (1.0 + math.cos(math.pi * epoch / cfg.max_epochs))
+            for epoch in range(cfg.max_epochs)
+        ]
+        rng = np.random.default_rng(0)
+        # 3 restarts x 2000 epochs = 6,000 steps, a fresh state per restart as in the fit
+        for restart in range(3):
+            start = rng.uniform(-3.0, 3.0, 3)
+            floats, vec = start.tolist(), start.copy()
+            float_state = _CoefficientAdam(lr=cfg.lr)
+            vec_state = neural_core.AdamState.for_params(vec, lr=cfg.lr)
+            for epoch, lr in enumerate(lrs):
+                grad = rng.normal(size=3) * 10.0 ** rng.uniform(-6.0, 6.0, 3)
+                if epoch % 2:
+                    grad[1] = self.TINY[epoch // 2 % len(self.TINY)]
+                if epoch in (1700, 1901):  # +1e300, then -1e300 after the flip
+                    grad[2] = 1e300
+                grad *= (-1.0) ** epoch  # the sign flips every step
+                float_state.lr = vec_state.lr = lr
+                curve_models.adam_step(floats, grad.tolist(), float_state)
+                with np.errstate(over="ignore"):
+                    neural_core.adam_step(vec, grad, vec_state)
+                assert floats == vec.tolist(), (restart, epoch)
+                assert float_state.first_moment == vec_state.first_moment.tolist(), (restart, epoch)
+                assert float_state.second_moment == vec_state.second_moment.tolist(), (restart, epoch)
+                assert float_state.step_count == vec_state.step_count

@@ -4,6 +4,7 @@ import pytest
 from powerlaw_hpo.neural_core import (
     AdamState,
     DenseNetwork,
+    GradientBundle,
     adam_step,
     backward,
     forward,
@@ -12,6 +13,7 @@ from powerlaw_hpo.neural_core import (
     leaky_relu,
     sigmoid,
 )
+from powerlaw_hpo.surrogate import ConditionedNetwork, DplNetwork
 
 from helpers import max_relative_error, numeric_gradient
 
@@ -236,3 +238,42 @@ def test_activations_bit_identical_to_old_formulas():
                 want_nan, want = _bits(old(x))
                 assert np.array_equal(got_nan, want_nan), new.__name__
                 assert np.array_equal(got, want), new.__name__
+
+
+def _old_backward(net, cache, g, out):
+    # backward() as first written, with np.sum for the bias gradient
+    for i in range(len(net.weights) - 1, -1, -1):
+        np.matmul(cache.inputs[i].T, g, out=out.weights[i])
+        np.sum(g, axis=0, out=out.biases[i])
+        if i > 0:
+            g = g @ net.weights[i].T
+            g *= np.where(cache.pre_activations[i - 1] >= 0, 1.0, 0.01)
+    return out
+
+
+def _same_bits(a, b):
+    (a_nan, a_bits), (b_nan, b_bits) = _bits(a), _bits(b)
+    return np.array_equal(a_nan, b_nan) and np.array_equal(a_bits, b_bits)
+
+
+@pytest.mark.parametrize("rows", [1, 10, 65, 240])
+def test_reductions_bit_identical_to_old_formulas(rows):
+    # batches as the members train on them, up to a full 240-row table;
+    # seeds 2 and 3 put non-finite and extreme entries into every input
+    special = np.array([np.inf, -np.inf, np.nan, 1e300, -1e300, 5e-324, -0.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for seed in range(4):
+            rng = np.random.default_rng([seed, rows])
+            for member in (DplNetwork(3, seed=[seed]), ConditionedNetwork(3, seed=[seed])):
+                net = member.body
+                x = rng.uniform(0.0, 1.0, (rows, net.layer_dims[0]))
+                d_out = rng.normal(0.0, 1.0 / rows, (rows, net.layer_dims[-1]))
+                pred, y = rng.normal(size=rows), rng.normal(size=rows)
+                if seed >= 2:
+                    for a in (x, d_out, pred, y):
+                        a.flat[rng.integers(0, a.size, 3)] = rng.choice(special, 3)
+                assert _same_bits(l1_loss(pred, y)[0], float(np.mean(np.abs(pred - y))))
+                _, cache = forward(net, x)
+                got = backward(net, cache, d_out, out=GradientBundle.zeros_for(net))
+                want = _old_backward(net, cache, d_out, GradientBundle.zeros_for(net))
+                assert _same_bits(got.flat, want.flat), (rows, seed, net.layer_dims)

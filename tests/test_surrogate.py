@@ -321,6 +321,31 @@ class TestSnapshot:
         with pytest.raises(ValueError, match=rf"^members\[1\]\.adam\.{moment}: "):
             ensemble_from_snapshot(doc)
 
+    def test_missing_adam_rejected(self):
+        doc = self._snapshot()
+        del doc["members"][1]["adam"]
+        with pytest.raises(ValueError, match=r"^members\[1\]\.adam: missing$"):
+            ensemble_from_snapshot(doc)
+
+    def test_non_finite_params_rejected(self):
+        doc = self._snapshot()
+        doc["members"][0]["params"][3] = math.nan
+        with pytest.raises(ValueError, match=r"^members\[0\]\.params: non-finite value$"):
+            ensemble_from_snapshot(doc)
+
+    @pytest.mark.parametrize("moment", ["first_moment", "second_moment"])
+    def test_non_finite_adam_moment_rejected(self, moment):
+        doc = self._snapshot()
+        doc["members"][2]["adam"][moment][0] = -math.inf
+        with pytest.raises(ValueError, match=rf"^members\[2\]\.adam\.{moment}: non-finite value$"):
+            ensemble_from_snapshot(doc)
+
+    def test_negative_step_count_rejected(self):
+        doc = self._snapshot()
+        doc["members"][0]["adam"]["step_count"] = -1
+        with pytest.raises(ValueError, match=r"^members\[0\]\.adam\.step_count: must be >= 0"):
+            ensemble_from_snapshot(doc)
+
 
 class TestConditionedNetwork:
     def test_zero_network_predicts_zero(self):

@@ -1,4 +1,4 @@
-"""Expected Improvement at full budget and the budget-advancement rule."""
+"""Expected Improvement at full budget and the exhaustive EI scan."""
 
 from __future__ import annotations
 
@@ -6,8 +6,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .history import History
 
 SQRT2 = math.sqrt(2.0)
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -66,12 +64,3 @@ def select_next(candidates: list[Candidate], ensemble, f_best: float) -> Candida
             best_score = ei
     return best_cand
 
-
-def next_budget(selected: Candidate, history: History, b_step: int, b_max: int) -> int:
-    """Advance the selected configuration by one budget increment.
-
-    Unseen configurations start at b_step; otherwise the next budget is the
-    highest observed one plus b_step, capped at b_max.  The candidate pool
-    holds only configurations below b_max, and RunSettings checks b_step.
-    """
-    return min(history.max_budget_for(selected.config_id) + b_step, b_max)

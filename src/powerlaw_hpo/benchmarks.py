@@ -102,6 +102,15 @@ def _require(cond: bool, path: str, msg: str):
         raise BenchmarkFormatError(f"{path}: {msg}")
 
 
+def _numbers(items: list, path: str, note: str = "") -> list[float]:
+    """Each entry as a float; strings, null and bools (an int subclass) fail."""
+    out = [float(v) for v in items if type(v) is float or type(v) is int]
+    if len(out) != len(items):
+        j = next(j for j, v in enumerate(items) if type(v) not in (float, int))
+        raise BenchmarkFormatError(f"{path}[{j}]: must be a number, got {items[j]!r}{note}")
+    return out
+
+
 def _as_table(doc: dict, source: str) -> BenchmarkTable:
     _require(isinstance(doc, dict), source, "top level must be an object")
     for key in ("name", "metric", "b_max", "hyperparameters", "configs"):
@@ -110,7 +119,7 @@ def _as_table(doc: dict, source: str) -> BenchmarkTable:
     metric = doc["metric"]
     _require(metric in ("loss", "accuracy"), "metric", f"must be 'loss' or 'accuracy', got {metric!r}")
     b_max = doc["b_max"]
-    _require(isinstance(b_max, int) and b_max >= 1, "b_max", "must be a positive integer")
+    _require(type(b_max) is int and b_max >= 1, "b_max", "must be a positive integer")
 
     hps = doc["hyperparameters"]
     _require(isinstance(hps, list) and hps, "hyperparameters", "must be a non-empty array")
@@ -123,7 +132,7 @@ def _as_table(doc: dict, source: str) -> BenchmarkTable:
         _require(isinstance(hp["name"], str), f"{path}.name", "must be a string")
         lo, hi = hp["min"], hp["max"]
         _require(
-            isinstance(lo, (int, float)) and isinstance(hi, (int, float)) and lo <= hi,
+            type(lo) in (int, float) and type(hi) in (int, float) and lo <= hi,
             path, f"bounds must be numbers with min <= max, got ({lo!r}, {hi!r})",
         )
         names.append(hp["name"])
@@ -139,7 +148,7 @@ def _as_table(doc: dict, source: str) -> BenchmarkTable:
         for key in ("id", "values", "curve"):
             _require(key in cfg, path, f"missing '{key}'")
         cid = cfg["id"]
-        _require(isinstance(cid, int), f"{path}.id", "must be an integer")
+        _require(type(cid) is int, f"{path}.id", "must be an integer")
         _require(cid not in seen, f"{path}.id", f"duplicate config id {cid}")
         seen.add(cid)
         vals = cfg["values"]
@@ -147,7 +156,7 @@ def _as_table(doc: dict, source: str) -> BenchmarkTable:
             isinstance(vals, list) and len(vals) == len(names),
             f"{path}.values", f"must have {len(names)} entries",
         )
-        vals = [float(v) for v in vals]
+        vals = _numbers(vals, f"{path}.values")
         for j, v in enumerate(vals):
             lo, hi = bounds[j]
             _require(
@@ -162,7 +171,7 @@ def _as_table(doc: dict, source: str) -> BenchmarkTable:
             f"expected length b_max={b_max}, got {len(curve) if isinstance(curve, list) else '?'}"
             f" (config id {cid})",
         )
-        curve = [float(v) for v in curve]
+        curve = _numbers(curve, f"{path}.curve", f" (config id {cid})")
         _require(
             all(math.isfinite(v) for v in curve),
             f"{path}.curve", f"non-finite value (config id {cid})",
@@ -180,12 +189,14 @@ def _as_table(doc: dict, source: str) -> BenchmarkTable:
             isinstance(coeffs, list) and len(coeffs) == len(ids),
             path, "must list one [alpha, beta, gamma] per config",
         )
+        rows = []
         for i, row in enumerate(coeffs):
             _require(
                 isinstance(row, list) and len(row) == 3,
                 f"{path}[{i}]", "must be [alpha, beta, gamma]",
             )
-        gen = np.asarray(coeffs, dtype=float)
+            rows.append(_numbers(row, f"{path}[{i}]"))
+        gen = np.asarray(rows, dtype=float)
 
     raw_values = np.asarray(values, dtype=float)
     raw_curves = np.asarray(curves, dtype=float)

@@ -5,9 +5,10 @@ plus an aggregate), ``forecast`` (curve-forecasting report), ``synth``
 (synthetic benchmark generation) and ``report`` (re-aggregation of a
 trajectory directory).
 
-All randomness flows from explicit seeds and wall-time columns are
-written as 0.0, so every command is byte-reproducible; process timings
-remain available through the Python API (RunSettings.record_wall_time).
+All randomness flows from explicit seeds, so every command is
+byte-reproducible.  The trajectory CSVs keep a ``wall_time_s`` column
+that is always 0.0, so the file format does not change; ``report``
+ignores it.
 Exit codes: 0 success, 2 usage, 3 data/schema, 4 internal.
 """
 
@@ -66,14 +67,38 @@ def write_trajectory_csv(trajectory: Trajectory, out_dir: Path) -> Path:
     return path
 
 
+def _trajectory_cell(row: dict, column: str, parse, valid, expected: str, where: str):
+    try:
+        value = parse(row[column])
+        ok = valid(value)
+    except ValueError:
+        ok = False
+    if not ok:
+        raise BenchmarkFormatError(f"{where}: {column}: must be {expected}, got {row[column]!r}")
+    return value
+
+
 def read_trajectory_rows(path: Path) -> list[dict]:
+    """Rows of one trajectory CSV, with ``steps`` and ``normalized_regret`` parsed."""
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or tuple(reader.fieldnames) != TRAJECTORY_COLUMNS:
             raise BenchmarkFormatError(
                 f"{path}: expected trajectory columns {TRAJECTORY_COLUMNS}, got {reader.fieldnames}"
             )
-        return list(reader)
+        rows = []
+        for row in reader:
+            where = f"{path}: line {reader.line_num}"
+            if None in row or None in row.values():
+                raise BenchmarkFormatError(f"{where}: expected {len(TRAJECTORY_COLUMNS)} fields")
+            row["steps"] = _trajectory_cell(
+                row, "steps", int, lambda v: v >= 1, "an integer >= 1", where
+            )
+            row["normalized_regret"] = _trajectory_cell(
+                row, "normalized_regret", float, math.isfinite, "a finite number", where
+            )
+            rows.append(row)
+        return rows
 
 
 def _lvcf(series: list[tuple[int, float]], grid: list[int]) -> list[float]:
@@ -92,50 +117,27 @@ def _lvcf(series: list[tuple[int, float]], grid: list[int]) -> list[float]:
     return out
 
 
-def aggregate_trajectory_rows(rows: list[dict]) -> tuple[tuple[str, ...], list[tuple]]:
+def aggregate_trajectory_rows(rows: list[dict]) -> list[tuple]:
     """Mean and standard error of normalized regret per (method, step).
 
     Each (method, dataset, seed) trajectory becomes a step function on the
     union grid of all observed step counts; per method and grid point the
     mean is taken across seeds and then datasets (with one seed set per
     dataset this equals the pooled mean), and the standard error pools all
-    (dataset, seed) samples.
-
-    When the input carries wall times and every (dataset, seed) pair has a
-    random-search run to normalize against, a mean_normalized_time column
-    is appended (each run's clock divided by its random-search total, the
-    fastest non-model-based reference).  Returns (header, rows).
+    (dataset, seed) samples.  Rows follow AGGREGATE_COLUMNS.
     """
     if not rows:
         raise ValueError("no trajectory rows to aggregate")
-    series: dict[tuple[str, str, str], list[tuple[int, float, float]]] = {}
+    series: dict[tuple[str, str, str], list[tuple[int, float]]] = {}
     grid_points: set[int] = set()
-    rs_total: dict[tuple[str, str], float] = {}
     for row in rows:
         key = (row["method"], row["dataset"], row["seed"])
-        step = int(row["steps"])
-        wall = float(row["wall_time_s"])
-        series.setdefault(key, []).append((step, float(row["normalized_regret"]), wall))
-        grid_points.add(step)
-        if row["method"] == "rs":
-            group = (row["dataset"], row["seed"])
-            rs_total[group] = max(rs_total.get(group, 0.0), wall)
+        series.setdefault(key, []).append((row["steps"], row["normalized_regret"]))
+        grid_points.add(row["steps"])
     grid = sorted(grid_points)
-    for s in series.values():
-        s.sort()
-    with_times = all(
-        rs_total.get((dataset, seed), 0.0) > 0.0 for _, dataset, seed in series
-    )
     by_method: dict[str, list[list[float]]] = {}
-    times_by_method: dict[str, list[list[float]]] = {}
-    for (method, dataset, seed), s in sorted(series.items()):
-        by_method.setdefault(method, []).append(_lvcf([(st, v) for st, v, _ in s], grid))
-        if with_times:
-            scale = rs_total[(dataset, seed)]
-            times_by_method.setdefault(method, []).append(
-                _lvcf([(st, w / scale) for st, v, w in s], grid)
-            )
-    header = AGGREGATE_COLUMNS + (("mean_normalized_time",) if with_times else ())
+    for (method, _, _), s in sorted(series.items()):
+        by_method.setdefault(method, []).append(_lvcf(sorted(s), grid))
     out = []
     for method in sorted(by_method):
         runs = np.asarray(by_method[method])  # (n_runs, n_grid)
@@ -144,13 +146,9 @@ def aggregate_trajectory_rows(rows: list[dict]) -> tuple[tuple[str, ...], list[t
             stderr = runs.std(axis=0, ddof=1) / math.sqrt(runs.shape[0])
         else:
             stderr = np.zeros(runs.shape[1])
-        times = np.asarray(times_by_method[method]).mean(axis=0) if with_times else None
         for j, step in enumerate(grid):
-            record = (method, step, float(mean[j]), float(stderr[j]), runs.shape[0])
-            if times is not None:
-                record += (float(times[j]),)
-            out.append(record)
-    return header, out
+            out.append((method, step, float(mean[j]), float(stderr[j]), runs.shape[0]))
+    return out
 
 
 def _run_one(method: str, table: BenchmarkTable, seed: int, budget_multiplier: int) -> Trajectory:
@@ -181,8 +179,7 @@ def _aggregate_directory(in_dir: Path, out_path: Path) -> int:
     rows: list[dict] = []
     for path in files:
         rows.extend(read_trajectory_rows(path))
-    header, aggregated = aggregate_trajectory_rows(rows)
-    _write_csv(out_path, header, aggregated)
+    _write_csv(out_path, AGGREGATE_COLUMNS, aggregate_trajectory_rows(rows))
     return EXIT_OK
 
 

@@ -9,7 +9,6 @@ integer steps.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,20 +42,17 @@ class RunSettings:
     """Shared run parameters for the DPL loop and every baseline.
 
     ``total_step_budget`` defaults to budget_multiplier * b_max (the cost
-    of fully evaluating that many configurations).  Wall-clock recording
-    is off by default so trajectories are bit-reproducible; turn it on
-    for overhead measurements only.  Step counts are checked here, once,
-    so every method rejects the same settings with the same error.
+    of fully evaluating that many configurations).  Step counts are
+    checked here, once, so every method rejects the same settings with the
+    same error.
     """
 
     seed: int = 0
     total_step_budget: int | None = None
-    b_step: int = 1
     budget_multiplier: int = 20
-    record_wall_time: bool = False
 
     def __post_init__(self):
-        for name in ("b_step", "budget_multiplier", "total_step_budget"):
+        for name in ("budget_multiplier", "total_step_budget"):
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
@@ -70,7 +66,6 @@ class RunSettings:
 @dataclass(frozen=True)
 class TrajectoryPoint:
     steps_consumed: int
-    wall_time: float
     incumbent_loss: float
     incumbent_regret: float
 
@@ -96,7 +91,7 @@ class Trajectory:
                 self.method,
                 self.dataset,
                 p.steps_consumed,
-                p.wall_time,
+                0.0,  # wall_time_s: kept so the file format does not change
                 p.incumbent_loss,
                 p.incumbent_regret,
                 p.incumbent_regret / self.normalization_span,
@@ -124,7 +119,6 @@ class RunContext:
 
     def __init__(self, table: BenchmarkTable, settings: RunSettings, method: str):
         self.table = table
-        self.settings = settings
         self.total_step_budget = settings.resolve_budget(table)
         self.steps_consumed = 0
         self.history = History()
@@ -143,10 +137,6 @@ class RunContext:
             normalization_span=span if span > 0 else 1.0,
         )
         self.incumbent = math.inf  # lowest loss observed so far
-        self._t0 = time.process_time()
-
-    def _now(self) -> float:
-        return time.process_time() - self._t0 if self.settings.record_wall_time else 0.0
 
     def cost_of(self, config_id: int, budget: int) -> int:
         return max(0, budget - self.history.max_budget_for(config_id))
@@ -180,7 +170,6 @@ class RunContext:
         self.trajectory.points.append(
             TrajectoryPoint(
                 steps_consumed=self.steps_consumed,
-                wall_time=self._now(),
                 incumbent_loss=self.incumbent,
                 incumbent_regret=self.incumbent - self.oracle_loss,
             )
@@ -226,7 +215,7 @@ def run_dpl(
     iterations and after a stagnation restart, 20-epoch refinement
     otherwise), pick the candidate maximizing Expected Improvement at full
     budget, advance it by one budget step, and record the observation.
-    Fully deterministic for a given seed unless wall-time recording is on.
+    Fully deterministic for a given seed.
 
     ``make_ensemble`` exists for tests that substitute a surrogate double;
     it receives (hp_dim, seed) and must provide fit_initial / refine /
@@ -260,9 +249,7 @@ def run_dpl(
         if not pool:
             ctx.trajectory.exhausted_pool = True
             break
+        # one step: the pool holds only configs below b_max, and steps remain
         selected = acquisition.select_next(pool, ensemble, ctx.incumbent)
-        budget = acquisition.next_budget(selected, ctx.history, settings.b_step, table.b_max)
-        if ctx.cost_of(selected.config_id, budget) > ctx.remaining:
-            break
-        ctx.observe(selected.config_id, budget)
+        ctx.observe(selected.config_id, ctx.history.max_budget_for(selected.config_id) + 1)
     return ctx.trajectory

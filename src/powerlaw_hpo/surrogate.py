@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -392,60 +392,73 @@ def ensemble_snapshot(ensemble: DplEnsemble, schedule: TrainerSchedule) -> dict:
     }
 
 
-def _snapshot_field(doc: dict, key: str, path: str):
+def _snapshot_field(doc: dict, key: str, path: str = ""):
     if key not in doc:
-        raise ValueError(f"{path}.{key}: missing")
+        raise ValueError(f"{path}{key}: missing")
     return doc[key]
+
+
+def _snapshot_count(doc: dict, key: str, path: str = ""):
+    value = _snapshot_field(doc, key, path)
+    if value < 0:
+        raise ValueError(f"{path}{key}: must be >= 0, got {value}")
+    return value
 
 
 def _snapshot_vector(doc: dict, key: str, size: int, path: str) -> np.ndarray:
     vec = np.asarray(_snapshot_field(doc, key, path), dtype=float)
     if vec.shape != (size,):
-        raise ValueError(f"{path}.{key}: expected {size} values, got shape {vec.shape}")
+        raise ValueError(f"{path}{key}: expected {size} values, got shape {vec.shape}")
     if not np.all(np.isfinite(vec)):
-        raise ValueError(f"{path}.{key}: non-finite value")
+        raise ValueError(f"{path}{key}: non-finite value")
     return vec
+
+
+def _snapshot_schedule(doc: dict) -> TrainerSchedule:
+    sched = _snapshot_field(doc, "schedule")
+    names = [f.name for f in fields(TrainerSchedule)]
+    kwargs = {name: _snapshot_field(sched, name, "schedule.") for name in names}
+    unknown = sorted(set(sched) - set(names))
+    if unknown:
+        raise ValueError(f"schedule.{unknown[0]}: unknown field")
+    return TrainerSchedule(**kwargs)
 
 
 def ensemble_from_snapshot(doc: dict) -> tuple[DplEnsemble, TrainerSchedule]:
     """Rebuild an ensemble and its schedule from a snapshot document.
 
-    Raises ValueError, naming the field, when the member list or a
-    member's parameter or moment vector does not fit the ensemble, when a
-    member field is missing or non-finite, or when a step count is negative.
+    Raises ValueError naming the field (``fit_round``, ``schedule.<key>``,
+    ``members[k].adam.<key>``) when a field is missing or unknown, does not
+    fit the ensemble, holds a non-finite value or is a negative counter.
     """
-    if doc.get("version") != SNAPSHOT_VERSION:
-        raise ValueError(f"unsupported snapshot version {doc.get('version')!r}")
+    if _snapshot_field(doc, "version") != SNAPSHOT_VERSION:
+        raise ValueError(f"unsupported snapshot version {doc['version']!r}")
     ens = DplEnsemble(
-        hp_dim=doc["hp_dim"],
-        seed=doc["seed"],
-        n_members=doc["n_members"],
-        hidden_width=doc["hidden_width"],
+        **{key: _snapshot_field(doc, key) for key in ("hp_dim", "seed", "n_members", "hidden_width")}
     )
-    ens.init_round = doc["init_round"]
-    ens.fit_round = doc["fit_round"]
-    ens.restart_count = doc["restart_count"]
-    if len(doc["members"]) != ens.n_members:
-        raise ValueError(f"members: expected {ens.n_members} entries, got {len(doc['members'])}")
-    for k, (member, mdoc) in enumerate(zip(ens.members, doc["members"])):
-        dims = tuple(mdoc["layer_dims"])
+    for key in ("init_round", "fit_round", "restart_count"):
+        setattr(ens, key, _snapshot_count(doc, key))
+    schedule = _snapshot_schedule(doc)
+    mdocs = _snapshot_field(doc, "members")
+    if len(mdocs) != ens.n_members:
+        raise ValueError(f"members: expected {ens.n_members} entries, got {len(mdocs)}")
+    for k, (member, mdoc) in enumerate(zip(ens.members, mdocs)):
+        path = f"members[{k}]."
+        dims = tuple(_snapshot_field(mdoc, "layer_dims", path))
         if dims != member.body.layer_dims:
-            raise ValueError(f"snapshot layer_dims {dims} != expected {member.body.layer_dims}")
-        member.init_seed = mdoc["init_seed"]
-        path = f"members[{k}]"
+            raise ValueError(f"{path}layer_dims: expected {member.body.layer_dims}, got {dims}")
+        member.init_seed = _snapshot_field(mdoc, "init_seed", path)
         flat = member.body.flat_params
         flat[...] = _snapshot_vector(mdoc, "params", flat.size, path)
         adam = _snapshot_field(mdoc, "adam", path)
-        path += ".adam"
+        path += "adam."
         moments = {
             name: _snapshot_vector(adam, name, flat.size, path)
             for name in ("first_moment", "second_moment")
         }
-        step_count = _snapshot_field(adam, "step_count", path)
-        if step_count < 0:
-            raise ValueError(f"{path}.step_count: must be >= 0, got {step_count}")
+        step_count = _snapshot_count(adam, "step_count", path)
         member.adam = AdamState(**moments, step_count=step_count, lr=_snapshot_field(adam, "lr", path))
-    return ens, TrainerSchedule(**doc["schedule"])
+    return ens, schedule
 
 
 def snapshot_to_json(ensemble: DplEnsemble, schedule: TrainerSchedule) -> str:

@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 from powerlaw_hpo.acquisition import (
     Candidate,
     expected_improvement,
-    next_budget,
     select_next,
 )
-from powerlaw_hpo.history import History, Observation
 
 
 class TestExpectedImprovement:
@@ -112,23 +110,4 @@ class TestSelectNext:
     def test_empty_pool_rejected(self):
         with pytest.raises(ValueError):
             select_next([], _StubEnsemble({}), 0.5)
-
-
-class TestNextBudget:
-    def test_unseen_config_starts_at_step(self):
-        cand = Candidate(config_id=4, scaled_vector=np.zeros(1))
-        assert next_budget(cand, History(), b_step=1, b_max=10) == 1
-
-    def test_advances_past_highest_observation(self):
-        h = History()
-        for b in (1, 2, 3):
-            h.append(Observation(config_id=4, budget=b, loss=0.5 - 0.1 * b))
-        cand = Candidate(config_id=4, scaled_vector=np.zeros(1))
-        assert next_budget(cand, h, b_step=1, b_max=10) == 4
-
-    def test_capped_at_b_max(self):
-        h = History()
-        h.append(Observation(config_id=4, budget=9, loss=0.2))
-        cand = Candidate(config_id=4, scaled_vector=np.zeros(1))
-        assert next_budget(cand, h, b_step=5, b_max=10) == 10
 

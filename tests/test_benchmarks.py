@@ -78,6 +78,32 @@ class TestLoadBenchmark:
         with pytest.raises(BenchmarkFormatError, match="invalid JSON"):
             load_benchmark(path)
 
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("configs", 0, "values"), ["a"], r"^configs\[0\]\.values\[0\]: must be a number"),
+            (("configs", 0, "values"), [True], r"^configs\[0\]\.values\[0\]: must be a number"),
+            (("configs", 0, "curve"), [None, 0.4],
+             r"^configs\[0\]\.curve\[0\]: must be a number, got None \(config id 0\)$"),
+            (("configs", 0, "curve"), [0.9, "0.5"], r"^configs\[0\]\.curve\[1\]: must be a number"),
+            (("configs", 0, "curve"), [False, 0.4], r"^configs\[0\]\.curve\[0\]: must be a number"),
+            (("generator",), {"coefficients": [[0.1, "x", 1.0]]},
+             r"^generator\.coefficients\[0\]\[1\]: must be a number"),
+            (("b_max",), True, r"^b_max: must be a positive integer$"),
+            (("configs", 0, "id"), True, r"^configs\[0\]\.id: must be an integer$"),
+            (("hyperparameters", 0, "min"), False, r"^hyperparameters\[0\]: bounds must be numbers"),
+            (("hyperparameters", 0, "max"), True, r"^hyperparameters\[0\]: bounds must be numbers"),
+        ],
+    )
+    def test_only_json_numbers_accepted(self, tmp_path, path, value, message):
+        doc = _minimal_doc()
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(BenchmarkFormatError, match=message):
+            load_benchmark(_write(tmp_path, doc))
+
     def test_load_save_load_round_trips_bit_exact(self, tmp_path):
         table = generate_synthetic(seed=5, n_configs=8, hp_dim=3, b_max=7, noise_std=0.02)
         first = tmp_path / "a.json"

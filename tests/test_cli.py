@@ -1,10 +1,11 @@
 import csv
 import json
+import re
 from pathlib import Path
 
 import pytest
 
-from powerlaw_hpo.cli import main
+from powerlaw_hpo.cli import AGGREGATE_COLUMNS, main
 from powerlaw_hpo.hpo_loop import TRAJECTORY_COLUMNS
 
 
@@ -94,6 +95,25 @@ class TestRun:
             "--out", str(tmp_path / "o"),
         ])
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("values", ["a"]), ("curve", [None, 0.4]), ("curve", ["0.5", 0.4])],
+    )
+    def test_non_number_in_benchmark_exits_3(self, tmp_path, capsys, field, value):
+        config = {"id": 0, "values": [0.5], "curve": [0.9, 0.4], field: value}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({
+            "name": "x", "metric": "loss", "b_max": 2,
+            "hyperparameters": [{"name": "lr", "min": 0.0, "max": 1.0}],
+            "configs": [config],
+        }), encoding="utf-8")
+        code = main([
+            "run", "--benchmarks", str(bad), "--methods", "rs", "--seeds", "0",
+            "--out", str(tmp_path / "o"),
+        ])
+        assert code == 3
+        assert f"configs[0].{field}[" in capsys.readouterr().err
 
     def test_degenerate_benchmark_exits_3(self, tmp_path):
         doc = {
@@ -264,28 +284,19 @@ class TestReport:
         assert by_key[("sh", "1")] == pytest.approx(0.1)
 
     def test_no_time_column_without_timing_data(self, tmp_path):
-        in_dir = tmp_path / "in"
-        in_dir.mkdir()
-        _write_trajectory(in_dir / "rs__d__seed0.csv", "rs", "d", 0, [(1, 0.2)])
-        out = tmp_path / "agg.csv"
-        main(["report", "--in", str(in_dir), "--out", str(out)])
-        assert "mean_normalized_time" not in _read_csv(out)[0]
-
-    def test_time_column_normalized_by_random_search(self, tmp_path):
-        in_dir = tmp_path / "in"
-        in_dir.mkdir()
-        _write_trajectory(in_dir / "rs__d__seed0.csv", "rs", "d", 0,
-                          [(4, 0.2, 2.0), (8, 0.1, 8.0)])
-        _write_trajectory(in_dir / "sh__d__seed0.csv", "sh", "d", 0,
-                          [(4, 0.3, 1.0), (8, 0.2, 2.0)])
-        out = tmp_path / "agg.csv"
-        main(["report", "--in", str(in_dir), "--out", str(out)])
-        rows = _read_csv(out)
-        by_key = {(r["method"], r["steps"]): float(r["mean_normalized_time"]) for r in rows}
-        # rs total clock is 8.0; every wall time divides by it
-        assert by_key[("rs", "8")] == pytest.approx(1.0)
-        assert by_key[("rs", "4")] == pytest.approx(0.25)
-        assert by_key[("sh", "8")] == pytest.approx(0.25)
+        # report ignores wall_time_s, even when a file carries nonzero times
+        for wall in (0.0, 2.5):
+            in_dir = tmp_path / f"in{wall}"
+            in_dir.mkdir()
+            _write_trajectory(in_dir / "rs__d__seed0.csv", "rs", "d", 0,
+                              [(4, 0.2, wall), (8, 0.1, 4 * wall)])
+            out = tmp_path / f"agg{wall}.csv"
+            assert main(["report", "--in", str(in_dir), "--out", str(out)]) == 0
+            rows = _read_csv(out)
+            assert all(tuple(r) == AGGREGATE_COLUMNS for r in rows)
+            assert [(r["steps"], r["mean_normalized_regret"]) for r in rows] == [
+                ("4", "0.2"), ("8", "0.1"),
+            ]
 
     def test_empty_directory_exits_3(self, tmp_path):
         empty = tmp_path / "empty"
@@ -302,3 +313,40 @@ class TestReport:
         (in_dir / "junk.csv").write_text("a,b\n1,2\n", encoding="utf-8")
         assert main(["report", "--in", str(in_dir), "--out",
                      str(tmp_path / "x.csv")]) == 3
+
+    @pytest.mark.parametrize(
+        "steps, regret, message",
+        [
+            ("abc", "0.2", r"line 2: steps: must be an integer >= 1, got 'abc'"),
+            ("0", "0.2", r"line 2: steps: must be an integer >= 1, got '0'"),
+            ("1.5", "0.2", r"line 2: steps: must be an integer >= 1, got '1.5'"),
+            ("1", "nan", r"line 2: normalized_regret: must be a finite number, got 'nan'"),
+            ("1", "inf", r"line 2: normalized_regret: must be a finite number, got 'inf'"),
+            ("1", "x", r"line 2: normalized_regret: must be a finite number, got 'x'"),
+        ],
+    )
+    def test_bad_cell_exits_3_naming_file_line_and_column(
+        self, tmp_path, capsys, steps, regret, message
+    ):
+        in_dir = tmp_path / "in"
+        in_dir.mkdir()
+        path = in_dir / "rs__d__seed0.csv"
+        _write_trajectory(path, "rs", "d", 0, [(steps, regret)])
+        out = tmp_path / "x.csv"
+        assert main(["report", "--in", str(in_dir), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert str(path) in err and re.search(message, err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fields", [5, 9])
+    def test_wrong_field_count_exits_3(self, tmp_path, capsys, fields):
+        in_dir = tmp_path / "in"
+        in_dir.mkdir()
+        path = in_dir / "rs__d__seed0.csv"
+        path.write_text(
+            ",".join(TRAJECTORY_COLUMNS) + "\n" + ",".join(["0", "rs", "d", "1", "0.0", "0.2",
+                                                           "0.2", "0.2", "0"][:fields]) + "\n",
+            encoding="utf-8",
+        )
+        assert main(["report", "--in", str(in_dir), "--out", str(tmp_path / "x.csv")]) == 3
+        assert f"{path}: line 2: expected 8 fields" in capsys.readouterr().err

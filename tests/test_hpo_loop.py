@@ -10,6 +10,7 @@ from powerlaw_hpo.benchmarks import evaluate, generate_synthetic, oracle
 from powerlaw_hpo.history import History, Observation
 from powerlaw_hpo.hpo_loop import (
     RunContext,
+    TRAJECTORY_COLUMNS,
     RunSettings,
     incumbent_regret,
     run_dpl,
@@ -183,10 +184,6 @@ class TestRunContext:
 
 
 class TestRunSettings:
-    def test_invalid_step_rejected(self):
-        with pytest.raises(ValueError, match="b_step"):
-            RunSettings(b_step=0)
-
     @pytest.mark.parametrize(
         "field, value",
         [("budget_multiplier", 0), ("budget_multiplier", -2), ("total_step_budget", 0)],
@@ -197,7 +194,7 @@ class TestRunSettings:
             RunSettings(**{field: value})
 
     def test_smallest_valid_settings_accepted(self, tiny_table):
-        settings = RunSettings(b_step=1, budget_multiplier=1)
+        settings = RunSettings(budget_multiplier=1)
         assert settings.resolve_budget(tiny_table) == tiny_table.b_max
         assert RunSettings(total_step_budget=1).resolve_budget(tiny_table) == 1
 
@@ -213,16 +210,12 @@ class TestTrajectory:
             assert row[7] == pytest.approx(point.incumbent_regret / traj.normalization_span)
 
     def test_wall_time_zero_by_default(self, tiny_table):
-        settings = RunSettings(seed=2, total_step_budget=8)
-        traj = run_dpl(tiny_table, settings, schedule=_fast_schedule(tiny_table.b_max))
-        assert all(p.wall_time == 0.0 for p in traj.points)
-
-    def test_wall_time_recorded_when_enabled(self, tiny_table):
-        settings = RunSettings(seed=2, total_step_budget=8, record_wall_time=True)
-        traj = run_dpl(tiny_table, settings, schedule=_fast_schedule(tiny_table.b_max))
-        times = [p.wall_time for p in traj.points]
-        assert all(a <= b for a, b in zip(times, times[1:]))
-        assert times[-1] > 0.0
+        assert TRAJECTORY_COLUMNS[4] == "wall_time_s"
+        for method in ("dpl", *BASELINE_RUNNERS):
+            traj = _run_method(method, tiny_table, RunSettings(seed=2, total_step_budget=8))
+            rows = traj.to_rows()
+            assert rows, method
+            assert all(row[4] == 0.0 for row in rows), method
 
 
 TINY_SCHEDULE = TrainerSchedule.for_curve_length(
@@ -262,23 +255,24 @@ class TestLoopInvariants:
         b_max=st.sampled_from([1, 2, 4]),
         hp_dim=st.sampled_from([1, 3]),
         multiplier=st.sampled_from([1, 3, 50]),
-        b_step=st.sampled_from([1, 3]),
         method=st.sampled_from(["dpl", *BASELINE_RUNNERS]),
         seed=st.integers(0, 2**16),
     )
     def test_every_method_keeps_the_invariants(
-        self, n_configs, b_max, hp_dim, multiplier, b_step, method, seed
+        self, n_configs, b_max, hp_dim, multiplier, method, seed
     ):
         table = generate_synthetic(
             seed=seed, n_configs=n_configs, hp_dim=hp_dim, b_max=b_max, noise_std=0.01
         )
-        run_settings = RunSettings(seed=seed, b_step=b_step, budget_multiplier=multiplier)
+        run_settings = RunSettings(seed=seed, budget_multiplier=multiplier)
         traj = _run_method(method, table, run_settings)
         steps = [p.steps_consumed for p in traj.points]
         incumbents = [p.incumbent_loss for p in traj.points]
         assert steps, "every method observes at least one configuration"
         assert steps[-1] <= run_settings.resolve_budget(table)
         assert all(a < b for a, b in zip(steps, steps[1:]))
+        if method == "dpl":  # the first config at step 1, then one step per observation
+            assert steps == list(range(1, len(steps) + 1))
         assert all(a >= b for a, b in zip(incumbents, incumbents[1:]))
         assert all(p.incumbent_regret >= 0.0 for p in traj.points)
         assert _run_method(method, table, run_settings).to_rows() == traj.to_rows()

@@ -347,6 +347,52 @@ class TestSnapshot:
             ensemble_from_snapshot(doc)
 
 
+    @pytest.mark.parametrize(
+        "key",
+        ["hp_dim", "seed", "n_members", "hidden_width", "init_round", "fit_round",
+         "restart_count", "schedule", "members"],
+    )
+    def test_missing_top_level_field_rejected(self, key):
+        doc = self._snapshot()
+        del doc[key]
+        with pytest.raises(ValueError, match=rf"^{key}: missing$"):
+            ensemble_from_snapshot(doc)
+
+    @pytest.mark.parametrize("key", ["layer_dims", "init_seed"])
+    def test_missing_member_field_rejected(self, key):
+        doc = self._snapshot()
+        del doc["members"][2][key]
+        with pytest.raises(ValueError, match=rf"^members\[2\]\.{key}: missing$"):
+            ensemble_from_snapshot(doc)
+
+    def test_member_layer_dims_mismatch_names_field(self):
+        doc = self._snapshot()
+        doc["members"][1]["layer_dims"][1] += 1
+        with pytest.raises(ValueError, match=r"^members\[1\]\.layer_dims: expected "):
+            ensemble_from_snapshot(doc)
+
+    def test_missing_schedule_key_rejected(self):
+        doc = self._snapshot()
+        del doc["schedule"]["batch_size"]
+        with pytest.raises(ValueError, match=r"^schedule\.batch_size: missing$"):
+            ensemble_from_snapshot(doc)
+
+    def test_unknown_schedule_key_rejected(self):
+        doc = self._snapshot()
+        doc["schedule"]["iterations_since_improvement"] = 0  # a v1 field
+        with pytest.raises(
+            ValueError, match=r"^schedule\.iterations_since_improvement: unknown field$"
+        ):
+            ensemble_from_snapshot(doc)
+
+    @pytest.mark.parametrize("key", ["init_round", "fit_round", "restart_count"])
+    def test_negative_round_counter_rejected(self, key):
+        doc = self._snapshot()
+        doc[key] = -3
+        with pytest.raises(ValueError, match=rf"^{key}: must be >= 0, got -3$"):
+            ensemble_from_snapshot(doc)
+
+
 class TestConditionedNetwork:
     def test_zero_network_predicts_zero(self):
         net = ConditionedNetwork(2, seed=0, hidden_width=8)

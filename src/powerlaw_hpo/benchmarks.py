@@ -102,12 +102,25 @@ def _require(cond: bool, path: str, msg: str):
         raise BenchmarkFormatError(f"{path}: {msg}")
 
 
+def _float(v, path: str, note: str = "") -> float:
+    """A JSON number as a float; strings, null, bools (an int subclass) and
+    integers beyond the float range fail."""
+    _require(type(v) is float or type(v) is int, path, f"must be a number, got {v!r}{note}")
+    try:
+        return float(v)
+    except OverflowError:
+        raise BenchmarkFormatError(f"{path}: integer too large for a float{note}") from None
+
+
 def _numbers(items: list, path: str, note: str = "") -> list[float]:
-    """Each entry as a float; strings, null and bools (an int subclass) fail."""
-    out = [float(v) for v in items if type(v) is float or type(v) is int]
+    """Each entry as a float, failing as ``_float`` does."""
+    try:
+        out = [float(v) for v in items if type(v) is float or type(v) is int]
+    except OverflowError:
+        out = []
     if len(out) != len(items):
-        j = next(j for j, v in enumerate(items) if type(v) not in (float, int))
-        raise BenchmarkFormatError(f"{path}[{j}]: must be a number, got {items[j]!r}{note}")
+        for j, v in enumerate(items):
+            _float(v, f"{path}[{j}]", note)
     return out
 
 
@@ -136,7 +149,7 @@ def _as_table(doc: dict, source: str) -> BenchmarkTable:
             path, f"bounds must be numbers with min <= max, got ({lo!r}, {hi!r})",
         )
         names.append(hp["name"])
-        bounds.append((float(lo), float(hi)))
+        bounds.append((_float(lo, f"{path}.min"), _float(hi, f"{path}.max")))
 
     configs = doc["configs"]
     _require(isinstance(configs, list) and configs, "configs", "must be a non-empty array")

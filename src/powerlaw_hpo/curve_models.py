@@ -175,22 +175,23 @@ def _initial_guess(
 
 
 def _internal_values_jac(
-    alpha: float, u: float, gamma: float, *,
-    lnb: np.ndarray, neg_lnb: np.ndarray, jac: np.ndarray,
+    alpha, u, gamma, *, lnb: np.ndarray, neg_lnb: np.ndarray, jac: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Model values and jacobian in the internal fit space.
 
     The caller passes the per-fit invariants ``lnb = log(b)`` and
-    ``neg_lnb = -lnb`` and an ``(n, 3)`` ``jac`` buffer whose column 0
-    already holds 1.0; the returned jacobian is that buffer, overwritten
-    by the next call.
+    ``neg_lnb = -lnb`` and a ``jac`` buffer whose column 0 already holds
+    1.0; the returned jacobian is that buffer, overwritten by the next
+    call.  With floats ``alpha``, ``u``, ``gamma`` the buffer is ``(n, 3)``;
+    with ``(R, 1)`` columns of R restarts' coefficients it is ``(R, n, 3)``,
+    and row r of the values and jacobian is restart r's.
     """
-    power = jac[:, 1]
+    power = jac[..., 1]
     np.multiply(lnb, gamma, out=power)
     np.subtract(u, power, out=power)
     np.exp(power, out=power)
     vals = power + alpha
-    np.multiply(neg_lnb, power, out=jac[:, 2])
+    np.multiply(neg_lnb, power, out=jac[..., 2])
     return vals, jac
 
 
@@ -235,6 +236,35 @@ def predict(formulation: Formulation, coefficients, b: float) -> float:
     return eval_broken_power_law(coefficients, b)
 
 
+@dataclass(slots=True)
+class _Restart:
+    """One restart of a fit: its coefficients, its Adam and its best point."""
+
+    params: list[float]
+    adam: _CoefficientAdam
+    best_loss: float = math.inf
+    best_params: tuple[float, float, float] | None = None
+    diverged: bool = False
+
+
+def _merge(restarts: list[_Restart]) -> tuple[float, tuple[float, float, float] | None, bool]:
+    """Best (loss, params) over the restarts in order, and whether one diverged.
+
+    A later restart wins only with a strictly lower loss, and the merge
+    stops at the first restart that brings the best below 1e-10: the
+    restarts after it are discarded, as a loop running them one after
+    another would never have started them.
+    """
+    best_loss, best_params, diverged = math.inf, None, False
+    for restart in restarts:
+        if restart.best_loss < best_loss:
+            best_loss, best_params = restart.best_loss, restart.best_params
+        diverged |= restart.diverged
+        if best_loss < 1e-10:
+            break
+    return best_loss, best_params, diverged
+
+
 def fit_single_curve(
     observed_values, max_budget: int, fit_config: FitConfig | None = None
 ) -> FitResult:
@@ -245,9 +275,20 @@ def fit_single_curve(
     (0, 1] before fitting.  The power law models curves decaying toward
     the asymptote (min-smooth diverging curves first).
 
-    A non-finite training loss aborts the offending restart; the best
-    coefficients across restarts are returned, with ``diverged=True`` when
-    any restart aborted that way.
+    The restarts run in lockstep.  Each epoch computes every restart's
+    model values, loss and gradient in one set of numpy calls on
+    ``(restarts, n)`` arrays, then steps each live restart's own Adam.
+    A restart ends at a loss below 1e-12, or at a non-finite loss or
+    gradient, which marks it diverged.  The result is bit-identical to
+    running the restarts one after another: each restart keeps its first
+    strictly lowest loss, and ``_merge`` combines them in order.  Once
+    restarts 0..r have all ended with a merged best below 1e-10, the later
+    restarts are discarded before their next step.  Steps they took while
+    running ahead of restart r are thrown away; a sequential loop would
+    never have taken them.
+
+    The best coefficients across the merged restarts are returned, with
+    ``diverged=True`` when any merged restart diverged.
     """
     y = np.asarray(observed_values, dtype=float)
     if y.ndim != 1 or y.size < 2:
@@ -257,50 +298,71 @@ def fit_single_curve(
     cfg = fit_config or FitConfig()
     b = np.arange(1, y.size + 1, dtype=float) / float(max_budget)
     seed_base = cfg.seed if isinstance(cfg.seed, tuple) else (cfg.seed,)
-    best_params: tuple[float, float, float] | None = None
-    best_loss = math.inf
-    diverged = False
-    # per-fit invariants, hoisted out of the restarts x epochs Adam loop
+    # per-fit invariants and buffers, hoisted out of the epoch loop;
+    # row r of each buffer belongs to restart r
     n = y.size
     lnb = np.log(b)
     neg_lnb = -lnb
-    jac = np.empty((n, 3))
-    jac[:, 0] = 1.0
-    buf = np.empty(n)  # |resid|, then the loss gradient sign(resid) / n
+    q = np.empty((cfg.restarts, 3))
+    alphas, us, gammas = q[:, 0:1], q[:, 1:2], q[:, 2:3]
+    jac = np.empty((cfg.restarts, n, 3))
+    jac[:, :, 0] = 1.0
+    buf = np.empty((cfg.restarts, n))  # |resid|, then the loss gradient sign(resid) / n
+    # restart r's gradient is the (1, n) @ (n, 3) product of buf[r] and jac[r]
+    grad_lhs = buf[:, None, :]
+    grad_out = np.empty((cfg.restarts, 1, 3))
+    grad_rows = grad_out[:, 0]
     lrs = [
         cfg.lr * 0.5 * (1.0 + math.cos(math.pi * epoch / cfg.max_epochs))
         for epoch in range(cfg.max_epochs)
     ]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        restarts = []
         for attempt in range(cfg.restarts):
             rng = np.random.default_rng(seed_base + (attempt,))
-            params = _initial_guess(y, b, rng, jitter=attempt > 0)
+            guess = _initial_guess(y, b, rng, jitter=attempt > 0)
             # extreme observations can push a guess out of float range
-            params = np.clip(np.nan_to_num(params), -1e3, 1e3).tolist()
-            state = _CoefficientAdam(lr=cfg.lr)
-            for lr in lrs:
-                state.lr = lr
-                resid, _ = _internal_values_jac(*params, lnb=lnb, neg_lnb=neg_lnb, jac=jac)
-                resid -= y
-                # np.mean's own sum-then-divide, without its wrapper
-                loss = float(np.add.reduce(np.abs(resid, out=buf))) / n
+            params = np.clip(np.nan_to_num(guess), -1e3, 1e3).tolist()
+            restarts.append(_Restart(params, _CoefficientAdam(lr=cfg.lr)))
+        live = list(range(cfg.restarts))  # the restarts still stepping, in order
+        # adam_step updates each list in place; ended restarts keep their
+        # rows, whose values go unused
+        rows = [restart.params for restart in restarts]
+        for lr in lrs:
+            q[...] = rows
+            resid, _ = _internal_values_jac(alphas, us, gammas, lnb=lnb, neg_lnb=neg_lnb, jac=jac)
+            resid -= y
+            # np.mean's own sum-then-divide, without its wrapper, row by row
+            sums = np.add.reduce(np.abs(resid, out=buf), axis=1).tolist()
+            np.sign(resid, out=buf)
+            buf /= n
+            np.matmul(grad_lhs, jac, out=grad_out)
+            grads = grad_rows.tolist()
+            stepping = []
+            for r in live:
+                restart = restarts[r]
+                loss = sums[r] / n
                 if not math.isfinite(loss):
-                    diverged = True
-                    break
-                if loss < best_loss:
-                    best_loss = loss
-                    best_params = tuple(params)
+                    restart.diverged = True
+                    continue
+                if loss < restart.best_loss:
+                    restart.best_loss = loss
+                    restart.best_params = tuple(restart.params)
                 if loss < 1e-12:
-                    break
-                np.sign(resid, out=buf)
-                buf /= n
-                grad = (buf @ jac).tolist()
-                if not all(map(math.isfinite, grad)):
-                    diverged = True
-                    break
-                adam_step(params, grad, state)
-            if best_loss < 1e-10:
+                    continue
+                if not all(map(math.isfinite, grads[r])):
+                    restart.diverged = True
+                    continue
+                stepping.append(r)
+            live = stepping
+            ended = live[0] if live else cfg.restarts  # restarts 0..ended-1 have ended
+            if not live or (ended and _merge(restarts[:ended])[0] < 1e-10):
                 break
+            for r in live:
+                restart = restarts[r]
+                restart.adam.lr = lr
+                adam_step(restart.params, grads[r], restart.adam)
+    best_loss, best_params, diverged = _merge(restarts)
     if best_params is None:
         # no restart ever produced a finite loss; report the plain guess
         guess = _initial_guess(y, b, np.random.default_rng(seed_base + (0,)), jitter=False)

@@ -38,7 +38,8 @@ class TrainerSchedule:
     The restart threshold is measured in HPO iterations: a restart fires
     once the surrogate fitting loss has not improved for more than
     ceil(1.2 * learning-curve length) iterations.  The schedule holds no
-    run state, so one schedule may be shared between runs.
+    run state, so one schedule may be shared between runs.  Every field is
+    an ``int`` (not a bool) and none is negative; ``batch_size`` is >= 1.
     """
 
     initial_epochs: int = 250
@@ -46,6 +47,15 @@ class TrainerSchedule:
     initial_phase_iterations: int = 10
     restart_threshold_iterations: int = 60
     batch_size: int = 64
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if type(value) is not int:
+                raise ValueError(f"{f.name}: must be an integer, got {value!r}")
+            floor = 1 if f.name == "batch_size" else 0
+            if value < floor:
+                raise ValueError(f"{f.name}: must be >= {floor}, got {value}")
 
     @classmethod
     def for_curve_length(cls, lc_length: int, **kwargs) -> "TrainerSchedule":
@@ -400,6 +410,8 @@ def _snapshot_field(doc: dict, key: str, path: str = ""):
 
 def _snapshot_count(doc: dict, key: str, path: str = ""):
     value = _snapshot_field(doc, key, path)
+    if type(value) is not int:
+        raise ValueError(f"{path}{key}: must be an integer, got {value!r}")
     if value < 0:
         raise ValueError(f"{path}{key}: must be >= 0, got {value}")
     return value
@@ -421,7 +433,10 @@ def _snapshot_schedule(doc: dict) -> TrainerSchedule:
     unknown = sorted(set(sched) - set(names))
     if unknown:
         raise ValueError(f"schedule.{unknown[0]}: unknown field")
-    return TrainerSchedule(**kwargs)
+    try:
+        return TrainerSchedule(**kwargs)
+    except ValueError as exc:
+        raise ValueError(f"schedule.{exc}") from None
 
 
 def ensemble_from_snapshot(doc: dict) -> tuple[DplEnsemble, TrainerSchedule]:
@@ -429,7 +444,8 @@ def ensemble_from_snapshot(doc: dict) -> tuple[DplEnsemble, TrainerSchedule]:
 
     Raises ValueError naming the field (``fit_round``, ``schedule.<key>``,
     ``members[k].adam.<key>``) when a field is missing or unknown, does not
-    fit the ensemble, holds a non-finite value or is a negative counter.
+    fit the ensemble, holds a non-finite value, or is a counter that is not
+    an integer or is negative (a schedule's ``batch_size`` below 1).
     """
     if _snapshot_field(doc, "version") != SNAPSHOT_VERSION:
         raise ValueError(f"unsupported snapshot version {doc['version']!r}")

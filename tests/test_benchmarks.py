@@ -93,6 +93,13 @@ class TestLoadBenchmark:
             (("configs", 0, "id"), True, r"^configs\[0\]\.id: must be an integer$"),
             (("hyperparameters", 0, "min"), False, r"^hyperparameters\[0\]: bounds must be numbers"),
             (("hyperparameters", 0, "max"), True, r"^hyperparameters\[0\]: bounds must be numbers"),
+            # integers too large for a float: a 401-digit JSON integer
+            (("configs", 0, "curve"), [0.9, 10**400],
+             r"^configs\[0\]\.curve\[1\]: integer too large for a float \(config id 0\)$"),
+            (("generator",), {"coefficients": [[0.1, -(10**400), 1.0]]},
+             r"^generator\.coefficients\[0\]\[1\]: integer too large for a float$"),
+            (("hyperparameters", 0, "max"), 10**400,
+             r"^hyperparameters\[0\]\.max: integer too large for a float$"),
         ],
     )
     def test_only_json_numbers_accepted(self, tmp_path, path, value, message):

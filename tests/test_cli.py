@@ -98,7 +98,10 @@ class TestRun:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("values", ["a"]), ("curve", [None, 0.4]), ("curve", ["0.5", 0.4])],
+        [
+            ("values", ["a"]), ("curve", [None, 0.4]), ("curve", ["0.5", 0.4]),
+            ("curve", [10**400, 0.4]),  # a JSON integer beyond the float range
+        ],
     )
     def test_non_number_in_benchmark_exits_3(self, tmp_path, capsys, field, value):
         config = {"id": 0, "values": [0.5], "curve": [0.9, 0.4], field: value}

@@ -16,6 +16,7 @@ from powerlaw_hpo.curve_models import (
     _CoefficientAdam,
     _initial_guess,
     _internal_values_jac,
+    _merge,
     eval_broken_power_law,
     eval_power_law,
     eval_scaled_power_law,
@@ -210,6 +211,23 @@ class TestFitJacobians:
                     j,
                 )
 
+    def test_restart_rows_match_single_calls(self):
+        # the fit's (R, n, 3) call against one (n, 3) call per restart, with ==
+        rng = np.random.default_rng(6)
+        for n in (2, 5, 13, 25):
+            b = np.arange(1, n + 1) / (n + 3.0)
+            lnb = np.log(b)
+            q = rng.uniform(-3.0, 3.0, (4, 3))
+            jac = np.empty((4, n, 3))
+            jac[:, :, 0] = 1.0
+            vals, _ = _internal_values_jac(
+                q[:, 0:1], q[:, 1:2], q[:, 2:3], lnb=lnb, neg_lnb=-lnb, jac=jac
+            )
+            for r in range(4):
+                want_vals, want_jac = _values_jac(q[r], b)
+                assert vals[r].tolist() == want_vals.tolist()
+                assert jac[r].tolist() == want_jac.tolist()
+
 
 class TestFitSingleCurve:
     def test_recovers_generated_power_law(self):
@@ -309,6 +327,61 @@ class TestFitBitIdentity:
             got = fit_single_curve(curve, max_budget, cfg)
             want = reference_fit_single_curve(curve, max_budget, cfg)
             assert _same_fit(got, want), (formulation, curve, got, want)
+
+
+_LENGTHS = st.integers(2, 25)
+_VALUES = st.floats(0.01, 2.0)
+# random curves, exact interpolants (a falling two-point curve, which the
+# first guess fits to rounding), constant curves and overflowing curves
+_FIT_CURVES = st.one_of(
+    _LENGTHS.flatmap(lambda n: st.lists(_VALUES, min_size=n, max_size=n)),
+    st.tuples(_VALUES, _VALUES).map(lambda p: [max(p), min(p)]),
+    st.tuples(_VALUES, _LENGTHS).map(lambda p: [p[0]] * p[1]),
+    _LENGTHS.map(lambda n: [10.0 ** (308 - i) for i in range(n)]),
+)
+
+
+class TestFitLockstepProperty:
+    """The lockstep fit against the sequential reference loop, with ==."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        curve=_FIT_CURVES,
+        extra_budget=st.integers(0, 30),
+        max_epochs=st.integers(1, 60),
+        restarts=st.integers(1, 5),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_sequential_reference(self, curve, extra_budget, max_epochs, restarts, seed):
+        max_budget = len(curve) + extra_budget
+        cfg = FitConfig(max_epochs=max_epochs, restarts=restarts, seed=seed)
+        got = fit_single_curve(curve, max_budget, cfg)
+        want = reference_fit_single_curve(curve, max_budget, cfg)
+        assert _same_fit(got, want), (got, want)
+
+
+class TestMerge:
+    """``_merge`` on hand-built restarts: strict improvement in order, and
+    nothing after the first restart that brings the best below 1e-10."""
+
+    def _restart(self, best_loss, diverged=False):
+        best_params = (best_loss, 0.0, 0.0) if math.isfinite(best_loss) else None
+        return curve_models._Restart(
+            [0.0] * 3, _CoefficientAdam(lr=0.05), best_loss, best_params, diverged
+        )
+
+    def test_first_of_equal_bests_wins(self):
+        first, second = self._restart(0.5), self._restart(0.5)
+        assert _merge([first, second])[1] is first.best_params
+
+    def test_stops_after_the_first_best_below_threshold(self):
+        restarts = [self._restart(0.5, diverged=True), self._restart(5e-11),
+                    self._restart(1e-13, diverged=True)]
+        assert _merge(restarts) == (5e-11, (5e-11, 0.0, 0.0), True)
+        assert _merge(restarts[1:]) == (5e-11, (5e-11, 0.0, 0.0), False)
+
+    def test_no_finite_restart_merges_to_none(self):
+        assert _merge([self._restart(math.inf, diverged=True)] * 2) == (math.inf, None, True)
 
 
 class TestFitStepCount:

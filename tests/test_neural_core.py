@@ -256,6 +256,27 @@ def _same_bits(a, b):
     return np.array_equal(a_nan, b_nan) and np.array_equal(a_bits, b_bits)
 
 
+@pytest.mark.parametrize("rows", [1, 7, 65])
+def test_leaky_relu_gradient_bit_identical_on_special_pre_activations(rows):
+    # backward's leaky-ReLU gradient against g * np.where(z >= 0, 1.0, 0.01) on
+    # hidden pre-activations z salted with NaN, +-0.0 and +-inf: a NaN z keeps
+    # the 0.01 factor, so a mask written as z < 0 fails here
+    special = np.array([np.nan, 0.0, -0.0, np.inf, -np.inf])
+    net = DenseNetwork.create((3, 16, 16, 2), seed=[rows])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for seed in range(5):
+            rng = np.random.default_rng([seed, rows])
+            _, cache = forward(net, rng.uniform(-1.0, 1.0, (rows, 3)))
+            for z in cache.pre_activations[:-1]:
+                z[...] = rng.normal(0.0, 2.0, z.shape)
+                k = z.size // 3 + 1
+                z.flat[rng.integers(0, z.size, k)] = rng.choice(special, k)
+            d_out = rng.normal(0.0, 1.0, (rows, 2))
+            got = backward(net, cache, d_out, out=GradientBundle.zeros_for(net))
+            want = _old_backward(net, cache, d_out, GradientBundle.zeros_for(net))
+            assert _same_bits(got.flat, want.flat), (rows, seed)
+
+
 @pytest.mark.parametrize("rows", [1, 10, 65, 240])
 def test_reductions_bit_identical_to_old_formulas(rows):
     # batches as the members train on them, up to a full 240-row table;

@@ -1,4 +1,6 @@
 import math
+import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -391,6 +393,61 @@ class TestSnapshot:
         doc[key] = -3
         with pytest.raises(ValueError, match=rf"^{key}: must be >= 0, got -3$"):
             ensemble_from_snapshot(doc)
+
+    @pytest.mark.parametrize("key", ["init_round", "fit_round", "restart_count"])
+    @pytest.mark.parametrize("value", ["3", 3.0, True, None])
+    def test_non_integer_round_counter_rejected(self, key, value):
+        doc = self._snapshot()
+        doc[key] = value
+        message = rf"^{key}: must be an integer, got {re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=message):
+            ensemble_from_snapshot(doc)
+
+    @pytest.mark.parametrize("value", ["3", 2.5, False])
+    def test_non_integer_step_count_rejected(self, value):
+        doc = self._snapshot()
+        doc["members"][1]["adam"]["step_count"] = value
+        message = r"^members\[1\]\.adam\.step_count: must be an integer"
+        with pytest.raises(ValueError, match=message):
+            ensemble_from_snapshot(doc)
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("batch_size", 0, "must be >= 1, got 0"),
+            ("refine_epochs", -1, "must be >= 0, got -1"),
+            ("initial_epochs", "250", "must be an integer, got '250'"),
+        ],
+    )
+    def test_invalid_schedule_value_names_field(self, key, value, message):
+        doc = self._snapshot()
+        doc["schedule"][key] = value
+        with pytest.raises(ValueError, match=rf"^schedule\.{key}: {re.escape(message)}$"):
+            ensemble_from_snapshot(doc)
+
+
+class TestTrainerSchedule:
+    def test_zero_epochs_and_thresholds_allowed(self):
+        TrainerSchedule(
+            initial_epochs=0, refine_epochs=0, initial_phase_iterations=0,
+            restart_threshold_iterations=0, batch_size=1,
+        )
+
+    @pytest.mark.parametrize("value", [2.0, True, "3", None, np.int64(3)])
+    @pytest.mark.parametrize("key", [f.name for f in fields(TrainerSchedule)])
+    def test_non_int_rejected(self, key, value):
+        with pytest.raises(ValueError, match=rf"^{key}: must be an integer"):
+            TrainerSchedule(**{key: value})
+
+    @pytest.mark.parametrize("key", ["initial_epochs", "refine_epochs", "initial_phase_iterations",
+                                     "restart_threshold_iterations"])
+    def test_negative_count_rejected(self, key):
+        with pytest.raises(ValueError, match=rf"^{key}: must be >= 0, got -1$"):
+            TrainerSchedule(**{key: -1})
+
+    def test_batch_size_below_one_rejected(self):
+        with pytest.raises(ValueError, match=r"^batch_size: must be >= 1, got 0$"):
+            TrainerSchedule(batch_size=0)
 
 
 class TestConditionedNetwork:

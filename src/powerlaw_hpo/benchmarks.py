@@ -304,6 +304,8 @@ def generate_synthetic(
         raise ValueError("n_configs must be >= 1")
     if hp_dim < 1 or b_max < 1:
         raise ValueError("hp_dim and b_max must be >= 1")
+    if not 0.0 <= noise_std < math.inf:
+        raise ValueError(f"noise_std must be a finite number >= 0, got {noise_std}")
     rng = np.random.default_rng([int(seed), 0xBE7C])
     x = rng.uniform(0.0, 1.0, size=(n_configs, hp_dim))
     ranges = (SYNTH_ALPHA_RANGE, SYNTH_BETA_RANGE, SYNTH_GAMMA_RANGE)

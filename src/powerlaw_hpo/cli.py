@@ -126,8 +126,6 @@ def aggregate_trajectory_rows(rows: list[dict]) -> list[tuple]:
     dataset this equals the pooled mean), and the standard error pools all
     (dataset, seed) samples.  Rows follow AGGREGATE_COLUMNS.
     """
-    if not rows:
-        raise ValueError("no trajectory rows to aggregate")
     series: dict[tuple[str, str, str], list[tuple[int, float]]] = {}
     grid_points: set[int] = set()
     for row in rows:
@@ -179,6 +177,8 @@ def _aggregate_directory(in_dir: Path, out_path: Path) -> int:
     rows: list[dict] = []
     for path in files:
         rows.extend(read_trajectory_rows(path))
+    if not rows:
+        raise BenchmarkFormatError(f"{in_dir}: the trajectory CSVs hold no rows")
     _write_csv(out_path, AGGREGATE_COLUMNS, aggregate_trajectory_rows(rows))
     return EXIT_OK
 
@@ -308,8 +308,8 @@ def _validate(parser: argparse.ArgumentParser, args) -> None:
             parser.error("--configs must be >= 1")
         if args.hp_dim < 1 or args.b_max < 1:
             parser.error("--hp-dim and --b-max must be >= 1")
-        if args.noise < 0:
-            parser.error("--noise must be >= 0")
+        if not 0.0 <= args.noise < math.inf:
+            parser.error(f"--noise must be a finite number >= 0, got {args.noise}")
 
 
 def main(argv=None) -> int:

@@ -364,11 +364,10 @@ def fit_single_curve(
                 adam_step(restart.params, grads[r], restart.adam)
     best_loss, best_params, diverged = _merge(restarts)
     if best_params is None:
-        # no restart ever produced a finite loss; report the plain guess
-        guess = _initial_guess(y, b, np.random.default_rng(seed_base + (0,)), jitter=False)
-        best_params = tuple(np.clip(np.nan_to_num(guess), -1e3, 1e3).tolist())
+        # no restart ever produced a finite loss: restart 0 diverged at its
+        # first epoch (which _merge reports), so it still holds the plain guess
+        best_params = tuple(restarts[0].params)
         best_loss = float("nan")
-        diverged = True
     alpha, u, gamma = best_params
     return FitResult(
         coefficients=PowerLawCoefficients(alpha=alpha, beta=math.exp(u), gamma=gamma),

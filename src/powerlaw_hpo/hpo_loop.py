@@ -218,8 +218,10 @@ def run_dpl(
     Fully deterministic for a given seed.
 
     ``make_ensemble`` exists for tests that substitute a surrogate double;
-    it receives (hp_dim, seed) and must provide fit_initial / refine /
-    restart / posterior_batch.
+    it receives (hp_dim, seed) and must provide ``fit_initial(data,
+    schedule)``, ``refine(data, schedule)`` (which oversamples the last row
+    of ``data``, the newest observation), ``restart(data, schedule)`` and
+    ``posterior_batch(configs, b_norm)``.
     """
     ctx = RunContext(table, settings, method="dpl")
     if schedule is None:
@@ -242,7 +244,7 @@ def run_dpl(
             fit_loss = ensemble.restart(data, schedule)
             stagnation = Stagnation(schedule.restart_threshold_iterations)
         else:
-            fit_loss = ensemble.refine(data, len(data) - 1, schedule)
+            fit_loss = ensemble.refine(data, schedule)
         restart_pending = should_restart(stagnation, fit_loss)
 
         pool = ctx.candidate_pool()

@@ -151,12 +151,10 @@ class DplNetwork:
         # optimizing the whole network as one flat vector keeps updates cheap
         self.adam = AdamState.for_params(self.body.flat_params)
         self._grad = GradientBundle.zeros_for(self.body)
-        self.init_seed = seed
 
     def reinitialize(self, seed) -> None:
         init_weights(self.body, seed)
         self.adam = AdamState.for_params(self.body.flat_params)
-        self.init_seed = seed
 
     def predict(self, configs: np.ndarray, b_norm) -> np.ndarray:
         configs = np.atleast_2d(np.asarray(configs, dtype=float))
@@ -200,12 +198,10 @@ class ConditionedNetwork:
         self.body = DenseNetwork.create(dims, seed)
         self.adam = AdamState.for_params(self.body.flat_params)
         self._grad = GradientBundle.zeros_for(self.body)
-        self.init_seed = seed
 
     def reinitialize(self, seed) -> None:
         init_weights(self.body, seed)
         self.adam = AdamState.for_params(self.body.flat_params)
-        self.init_seed = seed
 
     def _stack(self, configs: np.ndarray, b: np.ndarray) -> np.ndarray:
         configs = np.atleast_2d(np.asarray(configs, dtype=float))
@@ -316,34 +312,28 @@ class DplEnsemble:
         loss (inf signals a restart, never an exception).
         """
         self.init_round += 1
-        losses = []
         for k, member in enumerate(self.members):
             member.reinitialize(member_init_seed(self.seed, k, self.init_round))
-            rng = np.random.default_rng(_batch_rng_seed(self.seed, k, self.fit_round))
-            losses.append(
-                train_member_epochs(member, data, schedule.initial_epochs, schedule.batch_size, rng)
-            )
-        self.fit_round += 1
-        return float(np.mean(losses))
+        return self._train_members(data, schedule.initial_epochs, schedule.batch_size)
 
-    def refine(self, data: TrainingData, newest_index: int, schedule: TrainerSchedule) -> float:
-        """Continue training every member, oversampling the newest observation."""
+    def refine(self, data: TrainingData, schedule: TrainerSchedule) -> float:
+        """Continue training every member, oversampling the newest (last) row."""
         if self.init_round == 0:
             raise RuntimeError("refine called before fit_initial")
-        if not 0 <= newest_index < len(data):
-            raise ValueError(f"newest_index {newest_index} out of range")
+        return self._train_members(
+            data, schedule.refine_epochs, schedule.batch_size, oversample_index=len(data) - 1
+        )
+
+    def _train_members(
+        self, data: TrainingData, epochs: int, batch_size: int, oversample_index: int | None = None
+    ) -> float:
+        """The one member loop: every member trains on its own batch stream,
+        and nothing crosses between members until the mean of their losses."""
         losses = []
         for k, member in enumerate(self.members):
             rng = np.random.default_rng(_batch_rng_seed(self.seed, k, self.fit_round))
             losses.append(
-                train_member_epochs(
-                    member,
-                    data,
-                    schedule.refine_epochs,
-                    schedule.batch_size,
-                    rng,
-                    oversample_index=newest_index,
-                )
+                train_member_epochs(member, data, epochs, batch_size, rng, oversample_index)
             )
         self.fit_round += 1
         return float(np.mean(losses))
@@ -368,23 +358,26 @@ class DplEnsemble:
         return mean, var
 
 
-SNAPSHOT_VERSION = 2
+SNAPSHOT_VERSION = 3
 
 
 def ensemble_snapshot(ensemble: DplEnsemble, schedule: TrainerSchedule) -> dict:
-    """Versioned JSON-serializable snapshot (seeds, counters, parameters)."""
+    """Versioned JSON-serializable snapshot (seeds, counters, parameters).
+
+    Only what cannot be derived is stored: a member's init seed follows
+    from the ensemble seed and ``init_round``, its layer sizes from
+    ``hp_dim`` and ``hidden_width``, and its Adam learning rate is
+    ``AdamState``'s default.
+    """
     members = []
     for m in ensemble.members:
         members.append(
             {
-                "init_seed": list(m.init_seed) if isinstance(m.init_seed, (list, tuple)) else m.init_seed,
-                "layer_dims": list(m.body.layer_dims),
                 "params": m.body.flat_params.tolist(),
                 "adam": {
                     "first_moment": m.adam.first_moment.tolist(),
                     "second_moment": m.adam.second_moment.tolist(),
                     "step_count": m.adam.step_count,
-                    "lr": m.adam.lr,
                 },
             }
         )
@@ -408,12 +401,12 @@ def _snapshot_field(doc: dict, key: str, path: str = ""):
     return doc[key]
 
 
-def _snapshot_count(doc: dict, key: str, path: str = ""):
+def _snapshot_count(doc: dict, key: str, path: str = "", floor: int = 0):
     value = _snapshot_field(doc, key, path)
     if type(value) is not int:
         raise ValueError(f"{path}{key}: must be an integer, got {value!r}")
-    if value < 0:
-        raise ValueError(f"{path}{key}: must be >= 0, got {value}")
+    if value < floor:
+        raise ValueError(f"{path}{key}: must be >= {floor}, got {value}")
     return value
 
 
@@ -444,14 +437,15 @@ def ensemble_from_snapshot(doc: dict) -> tuple[DplEnsemble, TrainerSchedule]:
 
     Raises ValueError naming the field (``fit_round``, ``schedule.<key>``,
     ``members[k].adam.<key>``) when a field is missing or unknown, does not
-    fit the ensemble, holds a non-finite value, or is a counter that is not
-    an integer or is negative (a schedule's ``batch_size`` below 1).
+    fit the ensemble, holds a non-finite value, or is a count that is not
+    an integer or is below its floor (0 for ``seed`` and the counters, 1
+    for ``hp_dim``, ``n_members``, ``hidden_width`` and a schedule's
+    ``batch_size``).  Documents of another version are rejected.
     """
     if _snapshot_field(doc, "version") != SNAPSHOT_VERSION:
         raise ValueError(f"unsupported snapshot version {doc['version']!r}")
-    ens = DplEnsemble(
-        **{key: _snapshot_field(doc, key) for key in ("hp_dim", "seed", "n_members", "hidden_width")}
-    )
+    floors = {"hp_dim": 1, "seed": 0, "n_members": 1, "hidden_width": 1}
+    ens = DplEnsemble(**{key: _snapshot_count(doc, key, floor=f) for key, f in floors.items()})
     for key in ("init_round", "fit_round", "restart_count"):
         setattr(ens, key, _snapshot_count(doc, key))
     schedule = _snapshot_schedule(doc)
@@ -460,10 +454,6 @@ def ensemble_from_snapshot(doc: dict) -> tuple[DplEnsemble, TrainerSchedule]:
         raise ValueError(f"members: expected {ens.n_members} entries, got {len(mdocs)}")
     for k, (member, mdoc) in enumerate(zip(ens.members, mdocs)):
         path = f"members[{k}]."
-        dims = tuple(_snapshot_field(mdoc, "layer_dims", path))
-        if dims != member.body.layer_dims:
-            raise ValueError(f"{path}layer_dims: expected {member.body.layer_dims}, got {dims}")
-        member.init_seed = _snapshot_field(mdoc, "init_seed", path)
         flat = member.body.flat_params
         flat[...] = _snapshot_vector(mdoc, "params", flat.size, path)
         adam = _snapshot_field(mdoc, "adam", path)
@@ -472,8 +462,7 @@ def ensemble_from_snapshot(doc: dict) -> tuple[DplEnsemble, TrainerSchedule]:
             name: _snapshot_vector(adam, name, flat.size, path)
             for name in ("first_moment", "second_moment")
         }
-        step_count = _snapshot_count(adam, "step_count", path)
-        member.adam = AdamState(**moments, step_count=step_count, lr=_snapshot_field(adam, "lr", path))
+        member.adam = AdamState(**moments, step_count=_snapshot_count(adam, "step_count", path))
     return ens, schedule
 
 

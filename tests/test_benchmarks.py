@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -237,6 +238,9 @@ class TestGenerateSynthetic:
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             generate_synthetic(seed=0, n_configs=0)
+        for noise in (math.nan, math.inf, -0.1):
+            with pytest.raises(ValueError, match=r"^noise_std must be a finite number >= 0"):
+                generate_synthetic(seed=0, noise_std=noise)
 
     def test_tables_are_immutable(self, tiny_table):
         with pytest.raises(ValueError):

@@ -42,6 +42,15 @@ class TestSynth:
             main(_synth_args(tmp_path / "x.json", configs=0))
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("noise", ["nan", "inf", "-0.5"])
+    def test_bad_noise_usage_error(self, tmp_path, capsys, noise):
+        out = tmp_path / "x.json"
+        with pytest.raises(SystemExit) as exc:
+            main(_synth_args(out, noise=noise))
+        assert exc.value.code == 2
+        assert "--noise must be a finite number >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestRun:
     @pytest.fixture()
@@ -305,6 +314,15 @@ class TestReport:
         empty = tmp_path / "empty"
         empty.mkdir()
         assert main(["report", "--in", str(empty), "--out", str(tmp_path / "x.csv")]) == 3
+
+    def test_header_only_trajectories_exit_3(self, tmp_path, capsys):
+        in_dir = tmp_path / "in"
+        in_dir.mkdir()
+        _write_trajectory(in_dir / "rs__d__seed0.csv", "rs", "d", 0, [])
+        out = tmp_path / "x.csv"
+        assert main(["report", "--in", str(in_dir), "--out", str(out)]) == 3
+        assert f"error: {in_dir}: the trajectory CSVs hold no rows" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_directory_exits_3(self, tmp_path):
         assert main(["report", "--in", str(tmp_path / "nope"), "--out",

@@ -318,6 +318,8 @@ class TestFitBitIdentity:
         ([0.7, 0.71, 0.65, 0.66, 0.6, 0.58, 0.59, 0.55, 0.52, 0.53, 0.5, 0.49, 0.48], 40),
         ([0.5] * 5, 10),                                    # constant
         ([1e308, 1e307, 1e306, 1e305, 1e304], 10),          # overflows: diverged
+        # every restart's first loss overflows, so the plain guess is returned
+        ([1e308] * 5, 10),
     ]
 
     @pytest.mark.parametrize("formulation", [Formulation.POWER_LAW])

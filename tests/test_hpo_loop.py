@@ -35,7 +35,7 @@ class _OracleEnsemble:
     def fit_initial(self, data, schedule):
         return 0.0
 
-    def refine(self, data, newest_index, schedule):
+    def refine(self, data, schedule):
         return 0.0
 
     def restart(self, data, schedule):

@@ -184,22 +184,29 @@ class TestRefine:
 
             member.train_batch = logged
         newest = len(data) - 1
-        ens.refine(data, newest, sched)
+        ens.refine(data, sched)
         assert log, "instrumented batch log must record batches"
         assert all(newest in batch for batch in log)
 
     def test_refine_deterministic_from_snapshot(self):
+        # the restored copy keeps training exactly as the original does,
+        # checked after each phase, since a restart wipes the weights and
+        # Adam state that a bad restore would have changed
         data = _power_law_data()
-        sched = TrainerSchedule.for_curve_length(8)
-        ens = DplEnsemble(hp_dim=2, seed=3)
+        sched = TrainerSchedule.for_curve_length(8, initial_epochs=20)
+        ens = DplEnsemble(hp_dim=2, seed=3, n_members=3, hidden_width=16)
         ens.fit_initial(data, sched)
-        frozen = snapshot_to_json(ens, sched)
-        a, sa = snapshot_from_json(frozen)
-        b, sb = snapshot_from_json(frozen)
-        a.refine(data, len(data) - 1, sa)
-        b.refine(data, len(data) - 1, sb)
-        for ma, mb in zip(a.members, b.members):
-            assert np.array_equal(ma.body.flat_params, mb.body.flat_params)
+        ens.restart(data, sched)  # so every round counter is past its start
+        ens.refine(data, sched)
+        restored, rsched = snapshot_from_json(snapshot_to_json(ens, sched))
+        for phase in ("refine", "restart", "refine"):
+            assert getattr(ens, phase)(data, sched) == getattr(restored, phase)(data, rsched)
+            for ma, mb in zip(ens.members, restored.members):
+                assert np.array_equal(ma.body.flat_params, mb.body.flat_params)
+                assert np.array_equal(ma.adam.first_moment, mb.adam.first_moment)
+                assert np.array_equal(ma.adam.second_moment, mb.adam.second_moment)
+                assert ma.adam.step_count == mb.adam.step_count
+            assert snapshot_to_json(restored, rsched) == snapshot_to_json(ens, sched)
 
     def test_loss_non_increasing_in_expectation(self):
         # measured: per-seed deltas fluctuate at the optimizer noise floor
@@ -211,15 +218,15 @@ class TestRefine:
             ens = DplEnsemble(hp_dim=2, seed=seed)
             loss = ens.fit_initial(data, sched)
             for _ in range(30):
-                loss = ens.refine(data, len(data) - 1, sched)
-            final = ens.refine(data, len(data) - 1, sched)
+                loss = ens.refine(data, sched)
+            final = ens.refine(data, sched)
             deltas.append(final - loss)
         assert float(np.mean(deltas)) < 5e-4
 
     def test_refine_before_fit_rejected(self):
         ens = DplEnsemble(hp_dim=2, seed=0, hidden_width=4)
         with pytest.raises(RuntimeError):
-            ens.refine(_power_law_data(), 0, TrainerSchedule())
+            ens.refine(_power_law_data(), TrainerSchedule())
 
 
 class TestShouldRestart:
@@ -294,7 +301,9 @@ class TestSnapshot:
 
     def test_version_checked(self):
         ens = DplEnsemble(hp_dim=2, seed=0, hidden_width=4)
-        for version in (1, 999):  # v1 kept the stagnation counter in its schedule
+        # v1 kept the stagnation counter in its schedule; v2 stored each
+        # member's init seed, layer sizes and Adam learning rate
+        for version in (1, 2, 999):
             doc = ensemble_snapshot(ens, TrainerSchedule())
             doc["version"] = version
             with pytest.raises(ValueError):
@@ -360,19 +369,6 @@ class TestSnapshot:
         with pytest.raises(ValueError, match=rf"^{key}: missing$"):
             ensemble_from_snapshot(doc)
 
-    @pytest.mark.parametrize("key", ["layer_dims", "init_seed"])
-    def test_missing_member_field_rejected(self, key):
-        doc = self._snapshot()
-        del doc["members"][2][key]
-        with pytest.raises(ValueError, match=rf"^members\[2\]\.{key}: missing$"):
-            ensemble_from_snapshot(doc)
-
-    def test_member_layer_dims_mismatch_names_field(self):
-        doc = self._snapshot()
-        doc["members"][1]["layer_dims"][1] += 1
-        with pytest.raises(ValueError, match=r"^members\[1\]\.layer_dims: expected "):
-            ensemble_from_snapshot(doc)
-
     def test_missing_schedule_key_rejected(self):
         doc = self._snapshot()
         del doc["schedule"]["batch_size"]
@@ -387,14 +383,22 @@ class TestSnapshot:
         ):
             ensemble_from_snapshot(doc)
 
-    @pytest.mark.parametrize("key", ["init_round", "fit_round", "restart_count"])
-    def test_negative_round_counter_rejected(self, key):
-        doc = self._snapshot()
-        doc[key] = -3
-        with pytest.raises(ValueError, match=rf"^{key}: must be >= 0, got -3$"):
-            ensemble_from_snapshot(doc)
+    # the floor of each count a snapshot stores at its top level
+    COUNT_FLOORS = {
+        "init_round": 0, "fit_round": 0, "restart_count": 0,
+        "seed": 0, "hp_dim": 1, "n_members": 1, "hidden_width": 1,
+    }
 
-    @pytest.mark.parametrize("key", ["init_round", "fit_round", "restart_count"])
+    @pytest.mark.parametrize("key", list(COUNT_FLOORS))
+    def test_negative_round_counter_rejected(self, key):
+        floor = self.COUNT_FLOORS[key]
+        doc = self._snapshot()
+        for value in (-3, floor - 1):
+            doc[key] = value
+            with pytest.raises(ValueError, match=rf"^{key}: must be >= {floor}, got {value}$"):
+                ensemble_from_snapshot(doc)
+
+    @pytest.mark.parametrize("key", list(COUNT_FLOORS))
     @pytest.mark.parametrize("value", ["3", 3.0, True, None])
     def test_non_integer_round_counter_rejected(self, key, value):
         doc = self._snapshot()

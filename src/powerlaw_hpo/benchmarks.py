@@ -112,15 +112,19 @@ def _float(v, path: str, note: str = "") -> float:
         raise BenchmarkFormatError(f"{path}: integer too large for a float{note}") from None
 
 
-def _numbers(items: list, path: str, note: str = "") -> list[float]:
-    """Each entry as a float, failing as ``_float`` does."""
+def _numbers(
+    items: list, array: str, i: int, field: str = "", cid: int | None = None
+) -> list[float]:
+    """Each entry of ``{array}[{i}]{field}`` as a float, failing as ``_float``
+    does; the path and the config-id note are built only on failure."""
     try:
         out = [float(v) for v in items if type(v) is float or type(v) is int]
     except OverflowError:
         out = []
     if len(out) != len(items):
+        note = "" if cid is None else f" (config id {cid})"
         for j, v in enumerate(items):
-            _float(v, f"{path}[{j}]", note)
+            _float(v, f"{array}[{i}]{field}[{j}]", note)
     return out
 
 
@@ -148,47 +152,51 @@ def _as_table(doc: dict, source: str) -> BenchmarkTable:
             type(lo) in (int, float) and type(hi) in (int, float) and lo <= hi,
             path, f"bounds must be numbers with min <= max, got ({lo!r}, {hi!r})",
         )
+        lo, hi = _float(lo, f"{path}.min"), _float(hi, f"{path}.max")
+        # scaling divides by the span, so an infinite bound or an
+        # overflowing span would turn every scaled value into NaN or 0.0
+        _require(math.isfinite(hi - lo), path,
+                 f"bounds and max - min must be finite, got ({lo!r}, {hi!r})")
         names.append(hp["name"])
-        bounds.append((_float(lo, f"{path}.min"), _float(hi, f"{path}.max")))
+        bounds.append((lo, hi))
 
     configs = doc["configs"]
     _require(isinstance(configs, list) and configs, "configs", "must be a non-empty array")
+    # the checks below run once per config, so each formats its message
+    # only when it fails
     ids, values, curves = [], [], []
     seen = set()
     for i, cfg in enumerate(configs):
-        path = f"configs[{i}]"
-        _require(isinstance(cfg, dict), path, "must be an object")
+        if not isinstance(cfg, dict):
+            raise BenchmarkFormatError(f"configs[{i}]: must be an object")
         for key in ("id", "values", "curve"):
-            _require(key in cfg, path, f"missing '{key}'")
+            if key not in cfg:
+                raise BenchmarkFormatError(f"configs[{i}]: missing '{key}'")
         cid = cfg["id"]
-        _require(type(cid) is int, f"{path}.id", "must be an integer")
-        _require(cid not in seen, f"{path}.id", f"duplicate config id {cid}")
+        if type(cid) is not int:
+            raise BenchmarkFormatError(f"configs[{i}].id: must be an integer")
+        if cid in seen:
+            raise BenchmarkFormatError(f"configs[{i}].id: duplicate config id {cid}")
         seen.add(cid)
         vals = cfg["values"]
-        _require(
-            isinstance(vals, list) and len(vals) == len(names),
-            f"{path}.values", f"must have {len(names)} entries",
-        )
-        vals = _numbers(vals, f"{path}.values")
-        for j, v in enumerate(vals):
-            lo, hi = bounds[j]
-            _require(
-                lo <= v <= hi,
-                f"{path}.values[{j}]",
-                f"value {v} outside bounds [{lo}, {hi}] (config id {cid})",
-            )
+        if not (isinstance(vals, list) and len(vals) == len(names)):
+            raise BenchmarkFormatError(f"configs[{i}].values: must have {len(names)} entries")
+        vals = _numbers(vals, "configs", i, ".values")
+        for j, (v, (lo, hi)) in enumerate(zip(vals, bounds)):
+            if not lo <= v <= hi:
+                raise BenchmarkFormatError(
+                    f"configs[{i}].values[{j}]: value {v} outside bounds [{lo}, {hi}]"
+                    f" (config id {cid})"
+                )
         curve = cfg["curve"]
-        _require(
-            isinstance(curve, list) and len(curve) == b_max,
-            f"{path}.curve",
-            f"expected length b_max={b_max}, got {len(curve) if isinstance(curve, list) else '?'}"
-            f" (config id {cid})",
-        )
-        curve = _numbers(curve, f"{path}.curve", f" (config id {cid})")
-        _require(
-            all(math.isfinite(v) for v in curve),
-            f"{path}.curve", f"non-finite value (config id {cid})",
-        )
+        if not (isinstance(curve, list) and len(curve) == b_max):
+            got = len(curve) if isinstance(curve, list) else "?"
+            raise BenchmarkFormatError(
+                f"configs[{i}].curve: expected length b_max={b_max}, got {got} (config id {cid})"
+            )
+        curve = _numbers(curve, "configs", i, ".curve", cid)
+        if not all(map(math.isfinite, curve)):
+            raise BenchmarkFormatError(f"configs[{i}].curve: non-finite value (config id {cid})")
         ids.append(cid)
         values.append(vals)
         curves.append(curve)
@@ -204,11 +212,9 @@ def _as_table(doc: dict, source: str) -> BenchmarkTable:
         )
         rows = []
         for i, row in enumerate(coeffs):
-            _require(
-                isinstance(row, list) and len(row) == 3,
-                f"{path}[{i}]", "must be [alpha, beta, gamma]",
-            )
-            rows.append(_numbers(row, f"{path}[{i}]"))
+            if not (isinstance(row, list) and len(row) == 3):
+                raise BenchmarkFormatError(f"{path}[{i}]: must be [alpha, beta, gamma]")
+            rows.append(_numbers(row, path, i))
         gen = np.asarray(rows, dtype=float)
 
     raw_values = np.asarray(values, dtype=float)
@@ -239,6 +245,8 @@ def load_benchmark(path) -> BenchmarkTable:
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise BenchmarkFormatError(f"{path}: not UTF-8 ({exc})") from exc
         except json.JSONDecodeError as exc:
             raise BenchmarkFormatError(f"{path}: invalid JSON ({exc})") from exc
     return _as_table(doc, str(path))
@@ -254,12 +262,10 @@ def table_to_document(table: BenchmarkTable) -> dict:
             for n, (lo, hi) in zip(table.hp_names, table.bounds)
         ],
         "configs": [
-            {
-                "id": int(cid),
-                "values": table.raw_values[i].tolist(),
-                "curve": table.raw_curves[i].tolist(),
-            }
-            for i, cid in enumerate(table.config_ids)
+            {"id": int(cid), "values": vals, "curve": curve}
+            for cid, vals, curve in zip(
+                table.config_ids, table.raw_values.tolist(), table.raw_curves.tolist()
+            )
         ],
     }
     if table.generator_coefficients is not None:
@@ -268,10 +274,14 @@ def table_to_document(table: BenchmarkTable) -> dict:
 
 
 def save_benchmark(table: BenchmarkTable, path) -> None:
-    """Write a table back to disk in the benchmark JSON schema."""
+    """Write a table back to disk in the benchmark JSON schema.
+
+    ``json.dumps`` takes the one-shot C encoder, which writes the same
+    bytes as the streaming ``json.dump`` in a fraction of its time.
+    """
+    text = json.dumps(table_to_document(table)) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(table_to_document(table), fh)
-        fh.write("\n")
+        fh.write(text)
 
 
 # Coefficient ranges for synthetic curves; curve values stay within (0, 1.5).
@@ -327,8 +337,8 @@ def generate_synthetic(
             {"name": f"x{j}", "min": 0.0, "max": 1.0} for j in range(hp_dim)
         ],
         "configs": [
-            {"id": i, "values": x[i].tolist(), "curve": curves[i].tolist()}
-            for i in range(n_configs)
+            {"id": i, "values": vals, "curve": curve}
+            for i, (vals, curve) in enumerate(zip(x.tolist(), curves.tolist()))
         ],
         "generator": {"coefficients": coeffs.tolist()},
     }

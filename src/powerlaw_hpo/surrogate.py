@@ -401,6 +401,12 @@ def _snapshot_field(doc: dict, key: str, path: str = ""):
     return doc[key]
 
 
+def _reject_unknown(doc: dict, known, path: str = "") -> None:
+    unknown = sorted(set(doc) - set(known))
+    if unknown:
+        raise ValueError(f"{path}{unknown[0]}: unknown field")
+
+
 def _snapshot_count(doc: dict, key: str, path: str = "", floor: int = 0):
     value = _snapshot_field(doc, key, path)
     if type(value) is not int:
@@ -422,10 +428,8 @@ def _snapshot_vector(doc: dict, key: str, size: int, path: str) -> np.ndarray:
 def _snapshot_schedule(doc: dict) -> TrainerSchedule:
     sched = _snapshot_field(doc, "schedule")
     names = [f.name for f in fields(TrainerSchedule)]
+    _reject_unknown(sched, names, "schedule.")
     kwargs = {name: _snapshot_field(sched, name, "schedule.") for name in names}
-    unknown = sorted(set(sched) - set(names))
-    if unknown:
-        raise ValueError(f"schedule.{unknown[0]}: unknown field")
     try:
         return TrainerSchedule(**kwargs)
     except ValueError as exc:
@@ -445,8 +449,10 @@ def ensemble_from_snapshot(doc: dict) -> tuple[DplEnsemble, TrainerSchedule]:
     if _snapshot_field(doc, "version") != SNAPSHOT_VERSION:
         raise ValueError(f"unsupported snapshot version {doc['version']!r}")
     floors = {"hp_dim": 1, "seed": 0, "n_members": 1, "hidden_width": 1}
+    counters = ("init_round", "fit_round", "restart_count")
+    _reject_unknown(doc, ("version", "schedule", "members", *floors, *counters))
     ens = DplEnsemble(**{key: _snapshot_count(doc, key, floor=f) for key, f in floors.items()})
-    for key in ("init_round", "fit_round", "restart_count"):
+    for key in counters:
         setattr(ens, key, _snapshot_count(doc, key))
     schedule = _snapshot_schedule(doc)
     mdocs = _snapshot_field(doc, "members")
@@ -454,10 +460,12 @@ def ensemble_from_snapshot(doc: dict) -> tuple[DplEnsemble, TrainerSchedule]:
         raise ValueError(f"members: expected {ens.n_members} entries, got {len(mdocs)}")
     for k, (member, mdoc) in enumerate(zip(ens.members, mdocs)):
         path = f"members[{k}]."
+        _reject_unknown(mdoc, ("params", "adam"), path)
         flat = member.body.flat_params
         flat[...] = _snapshot_vector(mdoc, "params", flat.size, path)
         adam = _snapshot_field(mdoc, "adam", path)
         path += "adam."
+        _reject_unknown(adam, ("first_moment", "second_moment", "step_count"), path)
         moments = {
             name: _snapshot_vector(adam, name, flat.size, path)
             for name in ("first_moment", "second_moment")

@@ -112,6 +112,32 @@ class TestLoadBenchmark:
         with pytest.raises(BenchmarkFormatError, match=message):
             load_benchmark(_write(tmp_path, doc))
 
+    @pytest.mark.parametrize(
+        "lo, hi, got",
+        [
+            (-math.inf, math.inf, "(-inf, inf)"),
+            (0.0, math.inf, "(0.0, inf)"),
+            (-math.inf, 0, "(-inf, 0.0)"),
+            (math.inf, math.inf, "(inf, inf)"),
+            # each bound is finite, but max - min overflows
+            (-1.7e308, 1.7e308, "(-1.7e+308, 1.7e+308)"),
+            (-1e308, 1e308, "(-1e+308, 1e+308)"),
+        ],
+    )
+    def test_infinite_bounds_or_span_rejected(self, tmp_path, lo, hi, got):
+        doc = _minimal_doc(hyperparameters=[{"name": "lr", "min": 0.0, "max": 1.0},
+                                            {"name": "wd", "min": lo, "max": hi}],
+                           configs=[{"id": 0, "values": [0.5, 0], "curve": [0.9, 0.4]}])
+        with pytest.raises(BenchmarkFormatError) as exc:
+            load_benchmark(_write(tmp_path, doc))
+        assert str(exc.value) == (
+            f"hyperparameters[1]: bounds and max - min must be finite, got {got}"
+        )
+
+    def test_widest_finite_span_loads(self, tmp_path):
+        scaled = _scaled(tmp_path, [-8e307, 0.0, 8e307], lo=-8e307, hi=8e307)
+        assert scaled.tolist() == [0.0, 0.5, 1.0]
+
     def test_load_save_load_round_trips_bit_exact(self, tmp_path):
         table = generate_synthetic(seed=5, n_configs=8, hp_dim=3, b_max=7, noise_std=0.02)
         first = tmp_path / "a.json"
@@ -124,6 +150,135 @@ class TestLoadBenchmark:
         assert np.array_equal(loaded.raw_curves, reloaded.raw_curves)
         assert np.array_equal(loaded.raw_values, reloaded.raw_values)
         assert table_to_document(loaded) == table_to_document(reloaded)
+
+    EDGE_DOC = _minimal_doc(
+        name="Übung ε-σ ✓ \"q\" \\ \t",
+        metric="accuracy",
+        b_max=4,
+        hyperparameters=[{"name": "depth", "min": 0, "max": 8},
+                         {"name": "ω", "min": -1e308, "max": 0.0}],
+        configs=[
+            {"id": 0, "values": [-0.0, -1e308], "curve": [0.0, -0.0, 5e-324, 1e308]},
+            {"id": -7, "values": [5e-324, -5e-324], "curve": [1.0, 0.1, 1 / 3, 0.5]},
+            {"id": 2**40, "values": [8, 0.0], "curve": [0, 1, -1e-300, 2.5e-7]},
+        ],
+    )
+
+    @pytest.mark.parametrize("generator", [None, [[-0.0, 5e-324, 1e308], [0.1, 0.2, 0.3],
+                                                  [1, -2, 1e-17]]])
+    def test_saved_bytes_match_streaming_encoder(self, tmp_path, generator):
+        doc = json.loads(json.dumps(self.EDGE_DOC))
+        if generator is not None:
+            doc["generator"] = {"coefficients": generator}
+        tables = [
+            load_benchmark(_write(tmp_path, doc)),
+            generate_synthetic(seed=4, n_configs=30, hp_dim=3, b_max=9, noise_std=0.05),
+        ]
+        for table in tables:
+            path = tmp_path / "saved.json"
+            save_benchmark(table, path)
+            expected = "".join(json.JSONEncoder().iterencode(table_to_document(table))) + "\n"
+            assert path.read_bytes() == expected.encode("ascii")
+
+
+def _good_config(cid):
+    return {"id": cid, "values": [0.5, 2], "curve": [0.9, 0.5, 0.3]}
+
+
+def _table_with(bad, index=1, n_configs=3, generator=None):
+    """A two-hyperparameter, b_max 3 table whose ``configs[index]`` is ``bad``."""
+    configs = [_good_config(10 + i) for i in range(n_configs)]
+    configs[index] = bad
+    doc = _minimal_doc(
+        b_max=3,
+        hyperparameters=[{"name": "lr", "min": 0.0, "max": 1.0},
+                         {"name": "depth", "min": 1, "max": 8}],
+        configs=configs,
+    )
+    if generator is not None:
+        doc["generator"] = generator
+    return doc
+
+
+def _bad(**fields):
+    """configs[1] with id 9 and ``fields`` replaced (a None value deletes the key)."""
+    cfg = dict(_good_config(9), **fields)
+    return {k: v for k, v in cfg.items() if v is not None}
+
+
+class TestConfigMessages:
+    """The full message of each check on a config, and which check fires first."""
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ([1], "configs[1]: must be an object"),
+            ({"values": [0.5, 2], "curve": [0.9, 0.5, 0.3]}, "configs[1]: missing 'id'"),
+            (_bad(values=None), "configs[1]: missing 'values'"),
+            (_bad(curve=None), "configs[1]: missing 'curve'"),
+            (_bad(id="9"), "configs[1].id: must be an integer"),
+            (_bad(id=2.0), "configs[1].id: must be an integer"),
+            (_bad(id=10), "configs[1].id: duplicate config id 10"),
+            (_bad(values="ab"), "configs[1].values: must have 2 entries"),
+            (_bad(values=[0.5]), "configs[1].values: must have 2 entries"),
+            (_bad(values=[0.5, "3"]), "configs[1].values[1]: must be a number, got '3'"),
+            (_bad(values=[None, True]), "configs[1].values[0]: must be a number, got None"),
+            (_bad(values=[0.5, 10**400]), "configs[1].values[1]: integer too large for a float"),
+            (_bad(values=[0.5, 9]),
+             "configs[1].values[1]: value 9.0 outside bounds [1.0, 8.0] (config id 9)"),
+            (_bad(values=[-0.25, 2]),
+             "configs[1].values[0]: value -0.25 outside bounds [0.0, 1.0] (config id 9)"),
+            (_bad(values=[math.nan, 2]),
+             "configs[1].values[0]: value nan outside bounds [0.0, 1.0] (config id 9)"),
+            (_bad(values=[0.5, math.inf]),
+             "configs[1].values[1]: value inf outside bounds [1.0, 8.0] (config id 9)"),
+            (_bad(curve=[0.9, 0.5]),
+             "configs[1].curve: expected length b_max=3, got 2 (config id 9)"),
+            (_bad(curve="abc"), "configs[1].curve: expected length b_max=3, got ? (config id 9)"),
+            (_bad(curve=[0.9, None, 0.3]),
+             "configs[1].curve[1]: must be a number, got None (config id 9)"),
+            (_bad(curve=[0.9, 0.5, 10**400]),
+             "configs[1].curve[2]: integer too large for a float (config id 9)"),
+            (_bad(curve=[0.9, math.inf, 0.3]), "configs[1].curve: non-finite value (config id 9)"),
+            (_bad(curve=[math.nan, 0.5, 0.3]), "configs[1].curve: non-finite value (config id 9)"),
+            # a config's checks run in order: its values before its curve
+            (_bad(values=[2.0, 2], curve=[0.9]),
+             "configs[1].values[0]: value 2.0 outside bounds [0.0, 1.0] (config id 9)"),
+        ],
+    )
+    def test_full_message(self, tmp_path, bad, message):
+        with pytest.raises(BenchmarkFormatError) as exc:
+            load_benchmark(_write(tmp_path, _table_with(bad)))
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "generator, message",
+        [
+            ([], "generator: must be an object"),
+            ({"coefficients": [[0.1, 0.5, 1.0]] * 2},
+             "generator.coefficients: must list one [alpha, beta, gamma] per config"),
+            ({"coefficients": [[0.1, 0.5, 1.0], [0.1, 0.5], [0.1, 0.5, 1.0]]},
+             "generator.coefficients[1]: must be [alpha, beta, gamma]"),
+            ({"coefficients": [[0.1, 0.5, 1.0], [0.1, 0.5, "x"], [0.1, 0.5, 1.0]]},
+             "generator.coefficients[1][2]: must be a number, got 'x'"),
+            ({"coefficients": [[0.1, 0.5, 1.0], [0.1, 10**400, 1.0], [0.1, 0.5, 1.0]]},
+             "generator.coefficients[1][1]: integer too large for a float"),
+        ],
+    )
+    def test_full_generator_message(self, tmp_path, generator, message):
+        doc = _table_with(_good_config(9), generator=generator)
+        with pytest.raises(BenchmarkFormatError) as exc:
+            load_benchmark(_write(tmp_path, doc))
+        assert str(exc.value) == message
+
+    def test_first_failing_config_is_named(self, tmp_path):
+        doc = _table_with(_bad(values=[1.5, 2]), n_configs=5)
+        doc["configs"][3]["curve"] = [0.9]
+        with pytest.raises(BenchmarkFormatError) as exc:
+            load_benchmark(_write(tmp_path, doc))
+        assert str(exc.value) == (
+            "configs[1].values[0]: value 1.5 outside bounds [0.0, 1.0] (config id 9)"
+        )
 
 
 def _scaled(tmp_path, values, lo=0.0, hi=1.0):

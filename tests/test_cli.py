@@ -1,5 +1,7 @@
 import csv
+import hashlib
 import json
+import math
 import re
 from pathlib import Path
 
@@ -36,6 +38,18 @@ class TestSynth:
         assert main(_synth_args(a)) == 0
         assert main(_synth_args(b)) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    # the two benchmark tables: seed, configs, b_max (noise 0.01) -> SHA-256 of the file
+    PINNED_TABLES = [
+        (42, 200, 12, "32d887ddf8e2487b00b9c73df3743b6b568874276ffe9b8978308783d1f6a2eb"),
+        (606, 10, 25, "354493891ee638c84692fc5b0fa73be91179efcedcc14b8ae47e96dd25f5a411"),
+    ]
+
+    @pytest.mark.parametrize("seed, configs, b_max, digest", PINNED_TABLES)
+    def test_table_bytes_pinned(self, tmp_path, seed, configs, b_max, digest):
+        out = tmp_path / "table.json"
+        assert main(_synth_args(out, configs=configs, b_max=b_max, seed=seed, noise=0.01)) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_zero_configs_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -126,6 +140,33 @@ class TestRun:
         ])
         assert code == 3
         assert f"configs[0].{field}[" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lo, hi", [(-math.inf, math.inf), (-1.7e308, 1.7e308)])
+    def test_infinite_bounds_exit_3(self, tmp_path, capsys, lo, hi):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({
+            "name": "x", "metric": "loss", "b_max": 2,
+            "hyperparameters": [{"name": "lr", "min": lo, "max": hi}],
+            "configs": [{"id": 0, "values": [0.5], "curve": [0.9, 0.4]}],
+        }), encoding="utf-8")
+        code = main([
+            "run", "--benchmarks", str(bad), "--methods", "rs", "--seeds", "0",
+            "--out", str(tmp_path / "o"),
+        ])
+        assert code == 3
+        assert "error: hyperparameters[0]: bounds and max - min must be finite, got (" in (
+            capsys.readouterr().err
+        )
+
+    def test_non_utf8_benchmark_exits_3(self, bench, tmp_path, capsys):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes(bench.read_bytes().replace(b'"name": "', b'"name": "\xff', 1))
+        code = main([
+            "run", "--benchmarks", str(bad), "--methods", "rs", "--seeds", "0",
+            "--out", str(tmp_path / "o"),
+        ])
+        assert code == 3
+        assert capsys.readouterr().err.startswith(f"error: {bad}: not UTF-8 (")
 
     def test_degenerate_benchmark_exits_3(self, tmp_path):
         doc = {

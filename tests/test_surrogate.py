@@ -383,6 +383,32 @@ class TestSnapshot:
         ):
             ensemble_from_snapshot(doc)
 
+    @pytest.mark.parametrize("key", ["lr", "init_seed", "layer_dims"])
+    def test_v2_member_key_rejected(self, key):
+        doc = self._snapshot()
+        doc["members"][1][key] = "0.1"
+        with pytest.raises(ValueError, match=rf"^members\[1\]\.{key}: unknown field$"):
+            ensemble_from_snapshot(doc)
+
+    def test_relabelled_v2_member_rejected(self):
+        doc = self._snapshot()
+        # a v2 member, relabelled as v3: the first unknown key in sorted order is named
+        doc["members"][0].update(lr=0.1, init_seed=[0, 0, 0], layer_dims=[2, 4, 4, 3])
+        with pytest.raises(ValueError, match=r"^members\[0\]\.init_seed: unknown field$"):
+            ensemble_from_snapshot(doc)
+
+    def test_unknown_adam_key_rejected(self):
+        doc = self._snapshot()
+        doc["members"][2]["adam"]["lr"] = 0.1
+        with pytest.raises(ValueError, match=r"^members\[2\]\.adam\.lr: unknown field$"):
+            ensemble_from_snapshot(doc)
+
+    def test_unknown_top_level_key_rejected(self):
+        doc = self._snapshot()
+        doc["trainer"] = {}
+        with pytest.raises(ValueError, match=r"^trainer: unknown field$"):
+            ensemble_from_snapshot(doc)
+
     # the floor of each count a snapshot stores at its top level
     COUNT_FLOORS = {
         "init_round": 0, "fit_round": 0, "restart_count": 0,

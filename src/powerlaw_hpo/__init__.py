@@ -2,7 +2,7 @@
 
 from .acquisition import Candidate, expected_improvement
 from .benchmarks import BenchmarkTable, generate_synthetic, load_benchmark, save_benchmark
-from .curve_models import FitConfig, Formulation, LearningCurve, fit_single_curve, min_smooth
+from .curve_models import FitConfig, LearningCurve, fit_single_curve, min_smooth
 from .forecasting import ForecastModel, ForecastReport, run_forecast_experiment, spearman
 from .history import History, Observation
 from .hpo_loop import RunSettings, Trajectory, incumbent_regret, run_dpl
@@ -18,7 +18,6 @@ __all__ = [
     "FitConfig",
     "ForecastModel",
     "ForecastReport",
-    "Formulation",
     "History",
     "LearningCurve",
     "Observation",

@@ -42,9 +42,6 @@ def run_random_search(table: BenchmarkTable, settings: RunSettings) -> Trajector
         pick = int(rng.integers(0, len(unevaluated)))
         cid = unevaluated.pop(pick)
         ctx.observe(cid, table.b_max)
-    if not unevaluated and ctx.remaining >= table.b_max:
-        # leftover budget cannot be placed on any new configuration
-        ctx.trajectory.exhausted_pool = True
     return ctx.trajectory
 
 
@@ -113,7 +110,6 @@ def _run_brackets(
                 alive = False
                 break
         if alive and ctx.steps_consumed == before:  # pool too small to make progress
-            ctx.trajectory.exhausted_pool = True
             break
     return ctx.trajectory
 
@@ -180,7 +176,6 @@ def run_asha(table: BenchmarkTable, settings: RunSettings, eta: int = DEFAULT_ET
             if not run_job(cid, 0):
                 break
         else:
-            ctx.trajectory.exhausted_pool = True
             break
     return ctx.trajectory
 

@@ -310,6 +310,8 @@ def generate_synthetic(
     (alpha, beta, gamma); curves are alpha + beta * step^(-gamma) over raw
     steps 1..b_max, plus optional Gaussian noise clipped into (0, 1.5).
     """
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if n_configs < 1:
         raise ValueError("n_configs must be >= 1")
     if hp_dim < 1 or b_max < 1:

@@ -157,9 +157,18 @@ def _run_one(method: str, table: BenchmarkTable, seed: int, budget_multiplier: i
 
 
 def cmd_run(args) -> int:
+    tables = [load_benchmark(p) for p in args.benchmarks]
+    # trajectory files are named by table, so two tables of one name would overwrite cells
+    owner: dict[str, str] = {}
+    for path, table in zip(args.benchmarks, tables):
+        name = _safe_name(table.name)
+        if name in owner:
+            raise BenchmarkFormatError(
+                f"{owner[name]} and {path}: both tables write trajectories named {name!r}"
+            )
+        owner[name] = path
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    tables = [load_benchmark(p) for p in args.benchmarks]
     for table in tables:
         for method in args.methods:
             for seed in args.seeds:
@@ -279,31 +288,42 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_list(parser: argparse.ArgumentParser, flag: str, values: list) -> None:
+    """A list flag must be non-empty and repeat no value: a repeat would overwrite its output."""
+    if not values:
+        parser.error(f"{flag} must not be empty")
+    for i, v in enumerate(values):
+        if v in values[:i]:
+            parser.error(f"{flag} repeats {v}")
+
+
+def _check_seeds(parser: argparse.ArgumentParser, flag: str, seeds: list[int]) -> None:
+    _check_list(parser, flag, seeds)
+    if min(seeds) < 0:
+        parser.error(f"{flag} must be >= 0, got {min(seeds)}")
+
+
 def _validate(parser: argparse.ArgumentParser, args) -> None:
     if args.command == "run":
-        if not args.methods:
-            parser.error("--methods must not be empty")
+        _check_list(parser, "--methods", args.methods)
         for m in args.methods:
             if m not in METHODS:
                 parser.error(f"unknown method {m!r}; choose from {', '.join(METHODS)}")
-        if not args.seeds:
-            parser.error("--seeds must not be empty")
+        _check_seeds(parser, "--seeds", args.seeds)
         if args.budget_multiplier < 1:
             parser.error("--budget-multiplier must be >= 1")
     elif args.command == "forecast":
-        if not args.fractions:
-            parser.error("--fractions must not be empty")
+        _check_list(parser, "--fractions", args.fractions)
         for f in args.fractions:
             if not 0.0 < f < 1.0:
                 parser.error(f"fractions must lie in (0, 1), got {f}")
-        if not args.models:
-            parser.error("--models must not be empty")
+        _check_list(parser, "--models", args.models)
         for m in args.models:
             if m not in FORECAST_MODELS:
                 parser.error(f"unknown model {m!r}; choose from {', '.join(FORECAST_MODELS)}")
-        if not args.seeds:
-            parser.error("--seeds must not be empty")
+        _check_seeds(parser, "--seeds", args.seeds)
     elif args.command == "synth":
+        _check_seeds(parser, "--seed", [args.seed])
         if args.configs < 1:
             parser.error("--configs must be >= 1")
         if args.hp_dim < 1 or args.b_max < 1:

@@ -7,7 +7,6 @@ comparable.  Curves are loss-oriented: lower is better.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 
@@ -18,15 +17,6 @@ from .neural_core import ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON
 
 class CurveDomainError(ValueError):
     """Raised when a formulation is evaluated outside its valid domain."""
-
-
-class Formulation(enum.Enum):
-    """Learning-curve shapes; fit_single_curve fits POWER_LAW only, the rest are evaluated."""
-
-    POWER_LAW = "power-law"                  # alpha + beta * b^(-gamma)
-    SHIFTED_POWER_LAW = "shifted"            # alpha - beta * (b + d)^(-gamma)
-    SCALED_POWER_LAW = "scaled"              # alpha - beta * (e*b + d)^(-gamma)
-    BROKEN_POWER_LAW = "broken"              # power law with one breaking point
 
 
 @dataclass(frozen=True)
@@ -223,17 +213,6 @@ def adam_step(params: list[float], grad: list[float], state: _CoefficientAdam) -
         m[i] = mi = m[i] * ADAM_BETA1 + g * (1.0 - ADAM_BETA1)
         v[i] = vi = v[i] * ADAM_BETA2 + g * g * (1.0 - ADAM_BETA2)
         params[i] -= mi / (math.sqrt(vi / bc2) + ADAM_EPSILON) * scale
-
-
-def predict(formulation: Formulation, coefficients, b: float) -> float:
-    """Evaluate any formulation at a normalized budget."""
-    if formulation is Formulation.POWER_LAW:
-        return eval_power_law(coefficients, b)
-    if formulation is Formulation.SHIFTED_POWER_LAW:
-        return eval_shifted_power_law(coefficients, b)
-    if formulation is Formulation.SCALED_POWER_LAW:
-        return eval_scaled_power_law(coefficients, b)
-    return eval_broken_power_law(coefficients, b)
 
 
 @dataclass(slots=True)

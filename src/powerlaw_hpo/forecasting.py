@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .benchmarks import BenchmarkFormatError, BenchmarkTable
-from .curve_models import FitConfig, Formulation, fit_single_curve, predict
+from .curve_models import FitConfig, eval_power_law, fit_single_curve
 from .surrogate import (
     ConditionedNetwork,
     DplNetwork,
@@ -100,6 +100,8 @@ def run_forecast_experiment(
     """
     if not 0.0 < observed_fraction < 1.0:
         raise ValueError(f"observed_fraction must be in (0, 1), got {observed_fraction}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if table.n_configs < 2:
         raise BenchmarkFormatError(
             f"configs: forecasting ranks configurations and needs at least 2, got {table.n_configs}"
@@ -126,7 +128,7 @@ def run_forecast_experiment(
                     seed=base + (seed, i),
                 ),
             )
-            preds[i] = predict(Formulation.POWER_LAW, result.coefficients, 1.0)
+            preds[i] = eval_power_law(result.coefficients, 1.0)
     else:
         schedule = schedule or TrainerSchedule.for_curve_length(table.b_max)
         data = _prefix_training_data(table, observed_steps)

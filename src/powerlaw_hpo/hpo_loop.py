@@ -42,9 +42,9 @@ class RunSettings:
     """Shared run parameters for the DPL loop and every baseline.
 
     ``total_step_budget`` defaults to budget_multiplier * b_max (the cost
-    of fully evaluating that many configurations).  Step counts are
-    checked here, once, so every method rejects the same settings with the
-    same error.
+    of fully evaluating that many configurations).  The seed and the step
+    counts are checked here, once, so every method rejects the same
+    settings with the same error.
     """
 
     seed: int = 0
@@ -52,6 +52,8 @@ class RunSettings:
     budget_multiplier: int = 20
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         for name in ("budget_multiplier", "total_step_budget"):
             value = getattr(self, name)
             if value is not None and value < 1:
@@ -77,12 +79,6 @@ class Trajectory:
     seed: int
     normalization_span: float
     points: list[TrajectoryPoint] = field(default_factory=list)
-    exhausted_pool: bool = False
-
-    def final_normalized_regret(self) -> float:
-        if not self.points:
-            raise ValueError("empty trajectory")
-        return self.points[-1].incumbent_regret / self.normalization_span
 
     def to_rows(self) -> list[tuple]:
         return [
@@ -249,7 +245,6 @@ def run_dpl(
 
         pool = ctx.candidate_pool()
         if not pool:
-            ctx.trajectory.exhausted_pool = True
             break
         # one step: the pool holds only configs below b_max, and steps remain
         selected = acquisition.select_next(pool, ensemble, ctx.incumbent)

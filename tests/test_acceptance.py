@@ -24,7 +24,6 @@ from powerlaw_hpo.cli import main as cli_main
 from powerlaw_hpo.curve_models import (
     ExtendedCoefficients,
     FitConfig,
-    Formulation,
     LearningCurve,
     PowerLawCoefficients,
     eval_broken_power_law,
@@ -33,7 +32,6 @@ from powerlaw_hpo.curve_models import (
     eval_shifted_power_law,
     fit_single_curve,
     min_smooth,
-    predict,
 )
 from powerlaw_hpo.forecasting import ForecastModel, run_forecast_experiment
 from powerlaw_hpo.history import History, Observation
@@ -149,7 +147,7 @@ def test_criterion_5_per_curve_fit_recovery():
             gamma = rng.uniform(0.3, 3.0)
             curve = alpha + beta * steps ** (-gamma)
             result = fit_single_curve(curve[:10], max_budget=50, fit_config=FitConfig(seed=i))
-            pred = predict(Formulation.POWER_LAW, result.coefficients, 1.0)
+            pred = eval_power_law(result.coefficients, 1.0)
             hits += abs(pred - curve[-1]) < 1e-2
         elapsed = time.monotonic() - start
         assert hits >= 95, f"only {hits}/100 curves within 1e-2"
@@ -276,8 +274,8 @@ def test_criterion_7_end_to_end_hpo_superiority():
         dpl_finals, rs_finals = [], []
         for seed in range(10):
             settings = RunSettings(seed=seed)
-            dpl_final = run_dpl(table, settings).final_normalized_regret()
-            rs_final = run_random_search(table, settings).final_normalized_regret()
+            dpl_final = run_dpl(table, settings).to_rows()[-1][-1]
+            rs_final = run_random_search(table, settings).to_rows()[-1][-1]
             wins += dpl_final <= rs_final
             dpl_finals.append(dpl_final)
             rs_finals.append(rs_final)

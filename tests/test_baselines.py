@@ -65,7 +65,6 @@ class TestRandomSearch:
         table = _table(n_configs=1)
         traj = run_random_search(table, RunSettings(seed=0, budget_multiplier=20))
         assert len(traj.points) == 1
-        assert traj.exhausted_pool
 
     def test_never_repeats_configs(self, monkeypatch):
         observed = _observe_log(monkeypatch)

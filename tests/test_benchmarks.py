@@ -397,6 +397,10 @@ class TestGenerateSynthetic:
             with pytest.raises(ValueError, match=r"^noise_std must be a finite number >= 0"):
                 generate_synthetic(seed=0, noise_std=noise)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            generate_synthetic(seed=-1)
+
     def test_tables_are_immutable(self, tiny_table):
         with pytest.raises(ValueError):
             tiny_table.loss_curves[0, 0] = 123.0

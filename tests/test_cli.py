@@ -65,6 +65,14 @@ class TestSynth:
         assert "--noise must be a finite number >= 0" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_seed_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        with pytest.raises(SystemExit) as exc:
+            main(_synth_args(out, seed=-1))
+        assert exc.value.code == 2
+        assert "--seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestRun:
     @pytest.fixture()
@@ -109,6 +117,42 @@ class TestRun:
                 "--seeds", "0", "--out", str(tmp_path / "o"),
             ])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "methods, seeds, message",
+        [
+            ("rs", "-1", "--seeds must be >= 0, got -1"),
+            ("rs", "0,0", "--seeds repeats 0"),
+            ("rs,hb,rs", "0", "--methods repeats rs"),
+        ],
+        ids=["negative-seed", "repeated-seed", "repeated-method"],
+    )
+    def test_negative_or_repeated_values_usage_error(
+        self, bench, tmp_path, capsys, methods, seeds, message
+    ):
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "run", "--benchmarks", str(bench), "--methods", methods,
+                "--seeds", seeds, "--out", str(out),
+            ])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_colliding_trajectory_names_exit_3(self, bench, tmp_path, capsys):
+        # a copy of a table keeps its name, so both would write the same CSVs
+        copy = tmp_path / "bench_copy.json"
+        copy.write_bytes(bench.read_bytes())
+        out = tmp_path / "o"
+        code = main([
+            "run", "--benchmarks", str(bench), str(copy), "--methods", "rs",
+            "--seeds", "0", "--out", str(out),
+        ])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"{bench} and {copy}: both tables write trajectories named" in err
+        assert not out.exists()
 
     def test_bad_benchmark_file_exits_3(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -224,6 +268,31 @@ class TestForecast:
                 "--models", "pl", "--seeds", "0", "--out", str(tmp_path / "fc.csv"),
             ])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "fractions, models, seeds, message",
+        [
+            ("0.5", "pl", "-2", "--seeds must be >= 0, got -2"),
+            ("0.5", "pl", "1,2,1", "--seeds repeats 1"),
+            ("0.5", "pl,pl", "0", "--models repeats pl"),
+            ("0.5,0.50", "pl", "0", "--fractions repeats 0.5"),
+        ],
+        ids=["negative-seed", "repeated-seed", "repeated-model", "repeated-fraction"],
+    )
+    def test_negative_or_repeated_values_usage_error(
+        self, tmp_path, capsys, fractions, models, seeds, message
+    ):
+        bench = tmp_path / "bench.json"
+        main(_synth_args(bench))
+        out = tmp_path / "fc.csv"
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "forecast", "--benchmark", str(bench), "--fractions", fractions,
+                "--models", models, "--seeds", seeds, "--out", str(out),
+            ])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_fraction_bounds_usage_error(self, tmp_path):
         bench = tmp_path / "bench.json"

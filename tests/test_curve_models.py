@@ -10,7 +10,6 @@ from powerlaw_hpo.curve_models import (
     CurveDomainError,
     ExtendedCoefficients,
     FitConfig,
-    Formulation,
     LearningCurve,
     PowerLawCoefficients,
     _CoefficientAdam,
@@ -23,7 +22,6 @@ from powerlaw_hpo.curve_models import (
     eval_shifted_power_law,
     fit_single_curve,
     min_smooth,
-    predict,
 )
 
 from helpers import reference_fit_single_curve
@@ -188,9 +186,7 @@ def _values_jac(q, b):
 class TestFitJacobians:
     """The fitter's analytic jacobian against central finite differences."""
 
-    # the per-curve fit covers one shape: the power law
-    @pytest.mark.parametrize("formulation", [Formulation.POWER_LAW])
-    def test_matches_finite_differences(self, formulation):
+    def test_matches_finite_differences(self):
         rng = np.random.default_rng(5)
         b = np.arange(1, 9) / 8.0
         y = rng.uniform(0.1, 1.0, size=8)
@@ -205,11 +201,7 @@ class TestFitJacobians:
                 stepped[j] -= 2 * h
                 down, _ = _values_jac(stepped, b)
                 numeric = (up - down) / (2 * h)
-                assert np.allclose(jac[:, j], numeric, rtol=1e-4, atol=1e-6), (
-                    formulation,
-                    trial,
-                    j,
-                )
+                assert np.allclose(jac[:, j], numeric, rtol=1e-4, atol=1e-6), (trial, j)
 
     def test_restart_rows_match_single_calls(self):
         # the fit's (R, n, 3) call against one (n, 3) call per restart, with ==
@@ -236,27 +228,25 @@ class TestFitSingleCurve:
         steps = np.arange(1, 51, dtype=float)
         curve = alpha + beta * steps ** (-gamma)
         result = fit_single_curve(curve[:10], max_budget=50, fit_config=FitConfig(seed=0))
-        pred = predict(Formulation.POWER_LAW, result.coefficients, 1.0)
+        pred = eval_power_law(result.coefficients, 1.0)
         assert abs(pred - curve[-1]) < 1e-2
         assert not result.diverged
 
     def test_constant_curve(self):
         result = fit_single_curve([0.5] * 5, max_budget=10, fit_config=FitConfig(seed=1))
-        pred = predict(Formulation.POWER_LAW, result.coefficients, 1.0)
+        pred = eval_power_law(result.coefficients, 1.0)
         assert abs(pred - 0.5) < 1e-3
 
     def test_two_point_interpolation(self):
         # exact interpolant exists (alpha=0, beta=0.5, gamma=1); check residuals
         result = fit_single_curve([1.0, 0.5], max_budget=2, fit_config=FitConfig(seed=2))
         for b, y in ((0.5, 1.0), (1.0, 0.5)):
-            assert abs(predict(Formulation.POWER_LAW, result.coefficients, b) - y) < 1e-2
+            assert abs(eval_power_law(result.coefficients, b) - y) < 1e-2
 
-    @pytest.mark.parametrize(
-        "formulation,coeffs", [(Formulation.POWER_LAW, PowerLawCoefficients(0.25, 0.4, 1.2))]
-    )
-    def test_same_formulation_reaches_low_mae(self, formulation, coeffs):
+    def test_same_formulation_reaches_low_mae(self):
+        coeffs = PowerLawCoefficients(0.25, 0.4, 1.2)
         b = np.arange(1, 11) / 10.0
-        y = [predict(formulation, coeffs, x) for x in b]
+        y = [eval_power_law(coeffs, x) for x in b]
         result = fit_single_curve(
             y, max_budget=10, fit_config=FitConfig(max_epochs=3000, restarts=5, seed=0)
         )
@@ -322,13 +312,12 @@ class TestFitBitIdentity:
         ([1e308] * 5, 10),
     ]
 
-    @pytest.mark.parametrize("formulation", [Formulation.POWER_LAW])
-    def test_matches_reference_loop(self, formulation):
+    def test_matches_reference_loop(self):
         for i, (curve, max_budget) in enumerate(self.CURVES):
             cfg = FitConfig(max_epochs=200, restarts=3, seed=(4, i))
             got = fit_single_curve(curve, max_budget, cfg)
             want = reference_fit_single_curve(curve, max_budget, cfg)
-            assert _same_fit(got, want), (formulation, curve, got, want)
+            assert _same_fit(got, want), (curve, got, want)
 
 
 _LENGTHS = st.integers(2, 25)

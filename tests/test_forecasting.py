@@ -103,6 +103,11 @@ class TestForecastExperiment:
             with pytest.raises(ValueError):
                 run_forecast_experiment(noiseless_table, bad, ForecastModel.DPL)
 
+    @pytest.mark.parametrize("model", list(ForecastModel))
+    def test_negative_seed_rejected(self, noiseless_table, model):
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            run_forecast_experiment(noiseless_table, 0.5, model, seed=-1)
+
     def test_deterministic(self, noiseless_table):
         a = run_forecast_experiment(noiseless_table, 0.4, ForecastModel.DPL, seed=3)
         b = run_forecast_experiment(noiseless_table, 0.4, ForecastModel.DPL, seed=3)

@@ -55,13 +55,11 @@ class TestRunDpl:
         steps = [p.steps_consumed for p in traj.points]
         assert steps == list(range(1, 11))
         assert len(traj.points) == 10
-        assert not traj.exhausted_pool
 
     def test_pool_exhaustion_flagged(self):
         single = generate_synthetic(seed=1, n_configs=1, hp_dim=2, b_max=4)
         settings = RunSettings(seed=0, total_step_budget=40)
         traj = run_dpl(single, settings, schedule=_fast_schedule(4))
-        assert traj.exhausted_pool
         assert traj.points[-1].steps_consumed == 4
 
     def test_same_seed_identical_trajectories(self, tiny_table):
@@ -193,6 +191,10 @@ class TestRunSettings:
         with pytest.raises(ValueError, match=field):
             RunSettings(**{field: value})
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+            RunSettings(seed=-1)
+
     def test_smallest_valid_settings_accepted(self, tiny_table):
         settings = RunSettings(budget_multiplier=1)
         assert settings.resolve_budget(tiny_table) == tiny_table.b_max
@@ -276,3 +278,17 @@ class TestLoopInvariants:
         assert all(a >= b for a, b in zip(incumbents, incumbents[1:]))
         assert all(p.incumbent_regret >= 0.0 for p in traj.points)
         assert _run_method(method, table, run_settings).to_rows() == traj.to_rows()
+
+
+class TestPoolExhaustion:
+    """Every method stops once no configuration can take another step."""
+
+    @pytest.mark.parametrize("n_configs", [1, 2])
+    @pytest.mark.parametrize("method", ["dpl", *BASELINE_RUNNERS])
+    def test_stops_below_the_budget(self, method, n_configs):
+        table = generate_synthetic(seed=1, n_configs=n_configs, hp_dim=2, b_max=4)
+        run_settings = RunSettings(seed=0, budget_multiplier=50)
+        steps = _run_method(method, table, run_settings).points[-1].steps_consumed
+        assert steps < run_settings.resolve_budget(table)
+        if method in ("dpl", "rs"):  # both take every config to b_max before stopping
+            assert steps == n_configs * table.b_max

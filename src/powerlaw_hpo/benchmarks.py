@@ -55,6 +55,7 @@ class BenchmarkTable:
             arr.setflags(write=False)
         if self.generator_coefficients is not None:
             self.generator_coefficients.setflags(write=False)
+        object.__setattr__(self, "_id_index", {cid: i for i, cid in enumerate(self.config_ids)})
 
     @property
     def n_configs(self) -> int:
@@ -65,13 +66,7 @@ class BenchmarkTable:
         return len(self.hp_names)
 
     def index_of(self, config_id: int) -> int:
-        try:
-            return self._id_index[config_id]
-        except AttributeError:
-            object.__setattr__(
-                self, "_id_index", {cid: i for i, cid in enumerate(self.config_ids)}
-            )
-            return self._id_index[config_id]
+        return self._id_index[config_id]
 
 
 def evaluate(table: BenchmarkTable, config_id: int, budget: int) -> float:
@@ -90,11 +85,6 @@ def oracle(table: BenchmarkTable) -> float:
     if table.n_configs == 0:
         raise ValueError("empty table")
     return float(table.loss_curves.min())
-
-
-def config_best_losses(table: BenchmarkTable) -> np.ndarray:
-    """Per-config best (lowest) loss at any budget."""
-    return table.loss_curves.min(axis=1)
 
 
 def _require(cond: bool, path: str, msg: str):

@@ -35,7 +35,7 @@ from .benchmarks import (
 from .forecasting import ForecastModel, run_forecast_experiment
 from .hpo_loop import TRAJECTORY_COLUMNS, RunSettings, Trajectory, run_dpl
 
-METHODS = ("dpl", "rs", "sh", "hb", "asha")
+METHODS = ("dpl", *BASELINE_RUNNERS)
 FORECAST_MODELS = tuple(m.value for m in ForecastModel)
 
 EXIT_OK = 0
@@ -169,20 +169,19 @@ def cmd_run(args) -> int:
         owner[name] = path
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    written = []
     for table in tables:
         for method in args.methods:
             for seed in args.seeds:
                 trajectory = _run_one(method, table, seed, args.budget_multiplier)
-                write_trajectory_csv(trajectory, out_dir)
-    # aggregate by re-reading the files so `run` and `report` agree exactly
-    return _aggregate_directory(out_dir, out_dir / AGGREGATE_FILENAME)
+                written.append(write_trajectory_csv(trajectory, out_dir))
+    # re-read this run's own cells, so `run` and `report` agree exactly on a fresh
+    # directory and cells an earlier run left in out_dir stay out of the mean
+    return _aggregate_directory(out_dir, sorted(written), out_dir / AGGREGATE_FILENAME)
 
 
-def _aggregate_directory(in_dir: Path, out_path: Path) -> int:
-    files = sorted(p for p in in_dir.glob("*.csv") if p.name != AGGREGATE_FILENAME)
-    if not files:
-        print(f"error: no trajectory CSVs in {in_dir}", file=sys.stderr)
-        return EXIT_DATA
+def _aggregate_directory(in_dir: Path, files: list[Path], out_path: Path) -> int:
+    """Aggregate the trajectory CSVs ``files`` of ``in_dir`` into ``out_path``."""
     rows: list[dict] = []
     for path in files:
         rows.extend(read_trajectory_rows(path))
@@ -197,7 +196,14 @@ def cmd_report(args) -> int:
     if not in_dir.is_dir():
         print(f"error: {in_dir} is not a directory", file=sys.stderr)
         return EXIT_DATA
-    return _aggregate_directory(in_dir, Path(args.out))
+    out_path = Path(args.out)
+    # neither `run`'s aggregate nor this report's own output is a trajectory
+    skip = {(in_dir / AGGREGATE_FILENAME).resolve(), out_path.resolve()}
+    files = sorted(p for p in in_dir.glob("*.csv") if p.resolve() not in skip)
+    if not files:
+        print(f"error: no trajectory CSVs in {in_dir}", file=sys.stderr)
+        return EXIT_DATA
+    return _aggregate_directory(in_dir, files, out_path)
 
 
 def cmd_forecast(args) -> int:
@@ -228,22 +234,16 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _int_list(text: str) -> list[int]:
-    try:
-        return [int(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
+def _list_of(parse, kind: str):
+    """An argparse ``type`` for a comma list of ``parse`` values; empty items are dropped."""
 
+    def parse_list(text: str) -> list:
+        try:
+            return [parse(tok.strip()) for tok in text.split(",") if tok.strip() != ""]
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"expected comma-separated {kind}, got {text!r}") from exc
 
-def _float_list(text: str) -> list[float]:
-    try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from exc
-
-
-def _str_list(text: str) -> list[str]:
-    return [tok.strip() for tok in text.split(",") if tok.strip() != ""]
+    return parse_list
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -255,8 +255,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run HPO methods on benchmark files")
     p_run.add_argument("--benchmarks", nargs="+", required=True, help="benchmark JSON paths")
-    p_run.add_argument("--methods", type=_str_list, required=True, help=f"comma list of {METHODS}")
-    p_run.add_argument("--seeds", type=_int_list, required=True, help="comma list of seeds")
+    p_run.add_argument("--methods", type=_list_of(str, "names"), required=True,
+                       help=f"comma list of {METHODS}")
+    p_run.add_argument("--seeds", type=_list_of(int, "integers"), required=True,
+                       help="comma list of seeds")
     p_run.add_argument("--budget-multiplier", type=int, default=20,
                        help="step budget = multiplier * b_max (default 20)")
     p_run.add_argument("--out", required=True, help="output directory for CSVs")
@@ -264,11 +266,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fc = sub.add_parser("forecast", help="learning-curve forecasting experiment")
     p_fc.add_argument("--benchmark", required=True)
-    p_fc.add_argument("--fractions", type=_float_list, required=True,
+    p_fc.add_argument("--fractions", type=_list_of(float, "numbers"), required=True,
                       help="comma list of observed curve fractions in (0,1)")
-    p_fc.add_argument("--models", type=_str_list, required=True,
+    p_fc.add_argument("--models", type=_list_of(str, "names"), required=True,
                       help=f"comma list of {FORECAST_MODELS}")
-    p_fc.add_argument("--seeds", type=_int_list, required=True)
+    p_fc.add_argument("--seeds", type=_list_of(int, "integers"), required=True)
     p_fc.add_argument("--out", required=True, help="output CSV path")
     p_fc.set_defaults(fn=cmd_forecast)
 

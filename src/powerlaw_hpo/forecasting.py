@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -60,9 +60,6 @@ class ForecastModel(enum.Enum):
 
 @dataclass(frozen=True)
 class ForecastReport:
-    model: ForecastModel
-    observed_fraction: float
-    seed: int
     predicted_final: np.ndarray
     true_final: np.ndarray
     spearman: float
@@ -121,12 +118,7 @@ def run_forecast_experiment(
             result = fit_single_curve(
                 table.loss_curves[i, :observed_steps],
                 max_budget=table.b_max,
-                fit_config=FitConfig(
-                    lr=cfg.lr,
-                    max_epochs=cfg.max_epochs,
-                    restarts=cfg.restarts,
-                    seed=base + (seed, i),
-                ),
+                fit_config=replace(cfg, seed=base + (seed, i)),
             )
             preds[i] = eval_power_law(result.coefficients, 1.0)
     else:
@@ -143,9 +135,6 @@ def run_forecast_experiment(
     preds = np.nan_to_num(preds, nan=1e30, posinf=1e30, neginf=-1e30)
     rel_err = np.abs(preds - true_final) / np.maximum(np.abs(true_final), 1e-12)
     return ForecastReport(
-        model=model,
-        observed_fraction=observed_fraction,
-        seed=seed,
         predicted_final=preds,
         true_final=true_final,
         spearman=(

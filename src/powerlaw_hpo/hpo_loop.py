@@ -18,7 +18,6 @@ from .acquisition import Candidate
 from .benchmarks import (
     BenchmarkFormatError,
     BenchmarkTable,
-    config_best_losses,
     evaluate,
     oracle,
 )
@@ -118,7 +117,7 @@ class RunContext:
         self.total_step_budget = settings.resolve_budget(table)
         self.steps_consumed = 0
         self.history = History()
-        best = config_best_losses(table)
+        best = table.loss_curves.min(axis=1)
         span = float(best.max() - best.min())
         if span <= 0 and table.n_configs > 1:
             raise BenchmarkFormatError(

@@ -86,7 +86,7 @@ class DenseNetwork:
         return net
 
 
-def init_weights(net: DenseNetwork, seed) -> DenseNetwork:
+def init_weights(net: DenseNetwork, seed) -> None:
     """Re-draw parameters in place: weights uniform in +-sqrt(1/fan_in), biases zero.
 
     Deterministic for a given seed (int or sequence of ints).
@@ -96,7 +96,6 @@ def init_weights(net: DenseNetwork, seed) -> DenseNetwork:
         bound = float(np.sqrt(1.0 / fan_in))
         w[...] = rng.uniform(-bound, bound, size=w.shape)
         b[...] = 0.0
-    return net
 
 
 @dataclass
@@ -148,28 +147,27 @@ class GradientBundle:
 
 
 def backward(
-    net: DenseNetwork, cache: ForwardCache, output_gradient, out: GradientBundle | None = None
+    net: DenseNetwork, cache: ForwardCache, output_gradient, out: GradientBundle
 ) -> GradientBundle:
-    """Backpropagate a gradient w.r.t. the network output through the cache.
+    """Backpropagate a gradient w.r.t. the network output through the cache
+    into the buffers of ``out``, which is returned.
 
     The output gradient must match the shape produced by the paired
     forward() call; batch gradients are summed over the batch (loss
-    functions already fold in any 1/n factor).  Passing ``out`` reuses its
-    buffers instead of allocating.
+    functions already fold in any 1/n factor).
     """
     g = np.asarray(output_gradient, dtype=float)
     n_layers = len(net.weights)
     if len(cache.pre_activations) != n_layers or g.shape != cache.pre_activations[-1].shape:
         raise ValueError("cache does not match this network/output gradient")
-    bundle = out if out is not None else GradientBundle.zeros_for(net)
     for i in range(n_layers - 1, -1, -1):
         # g is the gradient w.r.t. pre-activation z_i here
-        np.matmul(cache.inputs[i].T, g, out=bundle.weights[i])
-        np.add.reduce(g, axis=0, out=bundle.biases[i])  # np.sum without its wrapper
+        np.matmul(cache.inputs[i].T, g, out=out.weights[i])
+        np.add.reduce(g, axis=0, out=out.biases[i])  # np.sum without its wrapper
         if i > 0:
             g = g @ net.weights[i].T
             g *= _leaky_relu_grad(cache.pre_activations[i - 1])
-    return bundle
+    return out
 
 
 def l1_loss(predictions, targets) -> tuple[float, np.ndarray]:

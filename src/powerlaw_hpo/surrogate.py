@@ -7,7 +7,6 @@ body sees only the (scaled) hyperparameter vector, never the budget.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, fields
 
@@ -198,10 +197,6 @@ class ConditionedNetwork:
         self.body = DenseNetwork.create(dims, seed)
         self.adam = AdamState.for_params(self.body.flat_params)
         self._grad = GradientBundle.zeros_for(self.body)
-
-    def reinitialize(self, seed) -> None:
-        init_weights(self.body, seed)
-        self.adam = AdamState.for_params(self.body.flat_params)
 
     def _stack(self, configs: np.ndarray, b: np.ndarray) -> np.ndarray:
         configs = np.atleast_2d(np.asarray(configs, dtype=float))
@@ -473,10 +468,3 @@ def ensemble_from_snapshot(doc: dict) -> tuple[DplEnsemble, TrainerSchedule]:
         member.adam = AdamState(**moments, step_count=_snapshot_count(adam, "step_count", path))
     return ens, schedule
 
-
-def snapshot_to_json(ensemble: DplEnsemble, schedule: TrainerSchedule) -> str:
-    return json.dumps(ensemble_snapshot(ensemble, schedule))
-
-
-def snapshot_from_json(text: str) -> tuple[DplEnsemble, TrainerSchedule]:
-    return ensemble_from_snapshot(json.loads(text))

@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from powerlaw_hpo.curve_models import FitResult, PowerLawCoefficients, _initial_guess
-from powerlaw_hpo.neural_core import AdamState, adam_step, backward, forward
+from powerlaw_hpo.neural_core import AdamState, GradientBundle, adam_step, backward, forward
 from powerlaw_hpo.surrogate import _power_law_head, _power_law_head_backward
 
 
@@ -39,7 +39,7 @@ def dpl_analytic_gradient(member, x, b, y) -> np.ndarray:
     diff = pred - y
     d_pred = np.sign(diff) / diff.size
     d_raw = _power_law_head_backward(head_cache, d_pred)
-    bundle = backward(member.body, cache, d_raw)
+    bundle = backward(member.body, cache, d_raw, out=GradientBundle.zeros_for(member.body))
     return bundle.flat
 
 

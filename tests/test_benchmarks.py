@@ -343,6 +343,12 @@ class TestEvaluate:
         with pytest.raises(KeyError):
             evaluate(tiny_table, 999, 1)
 
+    def test_unknown_config_error_names_the_id(self, tiny_table):
+        for cid in (999, -1, tiny_table.n_configs):
+            with pytest.raises(KeyError, match=f"^'unknown config id {cid}'$"):
+                evaluate(tiny_table, cid, 1)
+        assert evaluate(tiny_table, tiny_table.config_ids[-1], 1) == tiny_table.loss_curves[-1, 0]
+
 
 class TestOracleAndRegret:
     def test_oracle_is_global_minimum(self, tiny_table):

@@ -241,6 +241,20 @@ class TestRun:
         assert main(["report", "--in", str(out), "--out", str(reagg)]) == 0
         assert (out / "aggregate.csv").read_bytes() == reagg.read_bytes()
 
+    def test_aggregate_holds_only_this_runs_cells(self, bench, tmp_path):
+        out, alone = tmp_path / "o", tmp_path / "alone"
+        run = lambda seeds, where: main([
+            "run", "--benchmarks", str(bench), "--methods", "rs", "--seeds", seeds,
+            "--budget-multiplier", "3", "--out", str(where),
+        ])
+        assert run("0,1", out) == 0
+        assert run("5", out) == 0
+        assert {r["n_runs"] for r in _read_csv(out / "aggregate.csv")} == {"1"}
+        # the earlier cells stay on disk, and the aggregate is the one a fresh run writes
+        assert len(list(out.glob("rs__*.csv"))) == 3
+        assert run("5", alone) == 0
+        assert (out / "aggregate.csv").read_bytes() == (alone / "aggregate.csv").read_bytes()
+
 
 class TestForecast:
     def test_row_count_and_schema(self, tmp_path):
@@ -437,6 +451,20 @@ class TestReport:
     def test_missing_directory_exits_3(self, tmp_path):
         assert main(["report", "--in", str(tmp_path / "nope"), "--out",
                      str(tmp_path / "x.csv")]) == 3
+
+    def test_report_skips_its_own_output(self, tmp_path):
+        bench, out = tmp_path / "bench.json", tmp_path / "o"
+        assert main(_synth_args(bench, configs=12, b_max=4, noise=0.01)) == 0
+        run = ["run", "--benchmarks", str(bench), "--methods", "rs", "--seeds", "0",
+               "--budget-multiplier", "3", "--out", str(out)]
+        assert main(run) == 0
+        summary = out / "summary.csv"
+        report = ["report", "--in", str(out), "--out", str(summary)]
+        assert main(report) == 0
+        first = summary.read_bytes()
+        assert main(report) == 0
+        assert summary.read_bytes() == first == (out / "aggregate.csv").read_bytes()
+        assert main(run) == 0
 
     def test_malformed_trajectory_exits_3(self, tmp_path):
         in_dir = tmp_path / "in"

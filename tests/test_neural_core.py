@@ -71,7 +71,7 @@ class TestBackward:
     def test_zero_output_gradient_gives_zero(self):
         net = DenseNetwork.create((3, 4, 2), seed=2)
         _, cache = forward(net, np.ones((1, 3)))
-        bundle = backward(net, cache, np.zeros((1, 2)))
+        bundle = backward(net, cache, np.zeros((1, 2)), out=GradientBundle.zeros_for(net))
         assert np.all(bundle.flat == 0)
 
     def test_matches_finite_differences_through_l1(self):
@@ -89,7 +89,7 @@ class TestBackward:
 
             out, cache = forward(net, x)
             _, dl = l1_loss(out, y)
-            bundle = backward(net, cache, dl)
+            bundle = backward(net, cache, dl, out=GradientBundle.zeros_for(net))
             analytic = bundle.flat
             numeric = numeric_gradient(loss, net.flat_params)
             worst = max(worst, max_relative_error(analytic, numeric))
@@ -100,14 +100,14 @@ class TestBackward:
         other = DenseNetwork.create((3, 5, 2), seed=0)
         _, cache = forward(other, np.ones((1, 3)))
         with pytest.raises(ValueError):
-            backward(net, cache, np.zeros((1, 2)))
+            backward(net, cache, np.zeros((1, 2)), out=GradientBundle.zeros_for(net))
 
     def test_exact_fit_contributes_zero_under_sign_convention(self):
         net = DenseNetwork.create((2, 3, 1), seed=4)
         x = np.array([[0.3, 0.7]])
         out, cache = forward(net, x)
         _, dl = l1_loss(out, out.copy())
-        bundle = backward(net, cache, dl)
+        bundle = backward(net, cache, dl, out=GradientBundle.zeros_for(net))
         assert np.all(bundle.flat == 0)
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 import re
 from dataclasses import fields
@@ -19,12 +20,15 @@ from powerlaw_hpo.surrogate import (
     ensemble_snapshot,
     member_init_seed,
     should_restart,
-    snapshot_from_json,
-    snapshot_to_json,
     train_member_epochs,
 )
 
 from helpers import max_relative_error
+
+
+def _json_round_trip(ens, sched):
+    """Restore an ensemble from its snapshot after a trip through JSON text."""
+    return ensemble_from_snapshot(json.loads(json.dumps(ensemble_snapshot(ens, sched))))
 
 
 def _power_law_data(seed=1, n_configs=6, budgets=(0.25, 0.5, 0.75, 1.0)):
@@ -198,7 +202,7 @@ class TestRefine:
         ens.fit_initial(data, sched)
         ens.restart(data, sched)  # so every round counter is past its start
         ens.refine(data, sched)
-        restored, rsched = snapshot_from_json(snapshot_to_json(ens, sched))
+        restored, rsched = _json_round_trip(ens, sched)
         for phase in ("refine", "restart", "refine"):
             assert getattr(ens, phase)(data, sched) == getattr(restored, phase)(data, rsched)
             for ma, mb in zip(ens.members, restored.members):
@@ -206,7 +210,9 @@ class TestRefine:
                 assert np.array_equal(ma.adam.first_moment, mb.adam.first_moment)
                 assert np.array_equal(ma.adam.second_moment, mb.adam.second_moment)
                 assert ma.adam.step_count == mb.adam.step_count
-            assert snapshot_to_json(restored, rsched) == snapshot_to_json(ens, sched)
+            assert json.dumps(ensemble_snapshot(restored, rsched)) == json.dumps(
+                ensemble_snapshot(ens, sched)
+            )
 
     def test_loss_non_increasing_in_expectation(self):
         # measured: per-seed deltas fluctuate at the optimizer noise floor
@@ -291,7 +297,7 @@ class TestSnapshot:
         sched = TrainerSchedule.for_curve_length(8)
         ens = DplEnsemble(hp_dim=2, seed=2)
         ens.fit_initial(data, sched)
-        restored, rsched = snapshot_from_json(snapshot_to_json(ens, sched))
+        restored, rsched = _json_round_trip(ens, sched)
         probe = np.array([[0.3, 0.8], [0.9, 0.1]])
         orig_mean, orig_var = ens.posterior_batch(probe, 1.0)
         new_mean, new_var = restored.posterior_batch(probe, 1.0)

@@ -78,27 +78,40 @@ def _trajectory_cell(row: dict, column: str, parse, valid, expected: str, where:
     return value
 
 
+def _is_aggregate(path: Path) -> bool:
+    """Whether the CSV at ``path`` is an aggregate: its header row is AGGREGATE_COLUMNS."""
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            return tuple(next(csv.reader(fh), ())) == AGGREGATE_COLUMNS
+    except UnicodeDecodeError as exc:
+        raise BenchmarkFormatError(f"{path}: not UTF-8 ({exc})") from exc
+
+
 def read_trajectory_rows(path: Path) -> list[dict]:
     """Rows of one trajectory CSV, with ``steps`` and ``normalized_regret`` parsed."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or tuple(reader.fieldnames) != TRAJECTORY_COLUMNS:
-            raise BenchmarkFormatError(
-                f"{path}: expected trajectory columns {TRAJECTORY_COLUMNS}, got {reader.fieldnames}"
-            )
-        rows = []
-        for row in reader:
-            where = f"{path}: line {reader.line_num}"
-            if None in row or None in row.values():
-                raise BenchmarkFormatError(f"{where}: expected {len(TRAJECTORY_COLUMNS)} fields")
-            row["steps"] = _trajectory_cell(
-                row, "steps", int, lambda v: v >= 1, "an integer >= 1", where
-            )
-            row["normalized_regret"] = _trajectory_cell(
-                row, "normalized_regret", float, math.isfinite, "a finite number", where
-            )
-            rows.append(row)
-        return rows
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames is None or tuple(reader.fieldnames) != TRAJECTORY_COLUMNS:
+                raise BenchmarkFormatError(
+                    f"{path}: expected trajectory columns {TRAJECTORY_COLUMNS}, "
+                    f"got {reader.fieldnames}"
+                )
+            rows = []
+            for row in reader:
+                where = f"{path}: line {reader.line_num}"
+                if None in row or None in row.values():
+                    raise BenchmarkFormatError(f"{where}: expected {len(TRAJECTORY_COLUMNS)} fields")
+                row["steps"] = _trajectory_cell(
+                    row, "steps", int, lambda v: v >= 1, "an integer >= 1", where
+                )
+                row["normalized_regret"] = _trajectory_cell(
+                    row, "normalized_regret", float, math.isfinite, "a finite number", where
+                )
+                rows.append(row)
+            return rows
+    except UnicodeDecodeError as exc:
+        raise BenchmarkFormatError(f"{path}: not UTF-8 ({exc})") from exc
 
 
 def _lvcf(series: list[tuple[int, float]], grid: list[int]) -> list[float]:
@@ -196,10 +209,11 @@ def cmd_report(args) -> int:
     if not in_dir.is_dir():
         print(f"error: {in_dir} is not a directory", file=sys.stderr)
         return EXIT_DATA
-    out_path = Path(args.out)
-    # neither `run`'s aggregate nor this report's own output is a trajectory
-    skip = {(in_dir / AGGREGATE_FILENAME).resolve(), out_path.resolve()}
-    files = sorted(p for p in in_dir.glob("*.csv") if p.resolve() not in skip)
+    out_path = Path(args.out).resolve()
+    # aggregates (`run`'s or an earlier report's) and this report's output are not trajectories
+    files = sorted(
+        p for p in in_dir.glob("*.csv") if p.resolve() != out_path and not _is_aggregate(p)
+    )
     if not files:
         print(f"error: no trajectory CSVs in {in_dir}", file=sys.stderr)
         return EXIT_DATA

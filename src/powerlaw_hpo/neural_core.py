@@ -7,7 +7,9 @@ layer is linear.
 
 All parameters of a network live in one flat buffer; the per-layer
 weight matrices and bias vectors are views into it, so optimizer updates
-can run as a few whole-buffer operations.
+can run as a few whole-buffer operations.  A gradient shares that
+layout: it is itself a ``DenseNetwork`` (see ``DenseNetwork.zeros``),
+and ``backward`` writes into its parameters.
 """
 
 from __future__ import annotations
@@ -39,26 +41,6 @@ def _leaky_relu_grad(x):
     return np.where(x >= 0, 1.0, DEFAULT_LEAKY_SLOPE)
 
 
-def _layer_slices(layer_dims: tuple[int, ...]) -> tuple[list[tuple], int]:
-    """(weight_slice_and_shape, bias_slice) bookkeeping for the flat buffer."""
-    slices = []
-    offset = 0
-    for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]):
-        w = (offset, offset + fan_in * fan_out, (fan_in, fan_out))
-        offset = w[1]
-        b = (offset, offset + fan_out)
-        offset = b[1]
-        slices.append((w, b))
-    return slices, offset
-
-
-def _views(flat: np.ndarray, layer_dims) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    slices, _ = _layer_slices(layer_dims)
-    weights = [flat[a:b].reshape(shape) for (a, b, shape), _ in slices]
-    biases = [flat[a:b] for _, (a, b) in slices]
-    return weights, biases
-
-
 @dataclass
 class DenseNetwork:
     """Fully connected network: ``layer_dims[0] -> ... -> layer_dims[-1]``.
@@ -74,14 +56,24 @@ class DenseNetwork:
     biases: list[np.ndarray]
 
     @classmethod
-    def create(cls, layer_dims, seed) -> "DenseNetwork":
+    def zeros(cls, layer_dims) -> "DenseNetwork":
+        """A network whose parameters are all zero (also the layout of a gradient)."""
         dims = tuple(int(d) for d in layer_dims)
         if len(dims) < 2 or any(d <= 0 for d in dims):
             raise ValueError(f"layer_dims must be >= 2 positive entries, got {dims}")
-        _, size = _layer_slices(dims)
-        flat = np.zeros(size)
-        weights, biases = _views(flat, dims)
-        net = cls(layer_dims=dims, flat_params=flat, weights=weights, biases=biases)
+        flat = np.zeros(sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(dims, dims[1:])))
+        weights, biases = [], []
+        offset = 0
+        for fan_in, fan_out in zip(dims, dims[1:]):
+            weights.append(flat[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out))
+            offset += fan_in * fan_out
+            biases.append(flat[offset : offset + fan_out])
+            offset += fan_out
+        return cls(layer_dims=dims, flat_params=flat, weights=weights, biases=biases)
+
+    @classmethod
+    def create(cls, layer_dims, seed) -> "DenseNetwork":
+        net = cls.zeros(layer_dims)
         init_weights(net, seed)
         return net
 
@@ -126,31 +118,12 @@ def forward(net: DenseNetwork, inputs) -> tuple[np.ndarray, ForwardCache]:
     return x, ForwardCache(layer_inputs, pre_activations)
 
 
-@dataclass
-class GradientBundle:
-    """Per-parameter gradients, shape-congruent with a DenseNetwork.
-
-    ``weights``/``biases`` are views into ``flat``, laid out like the
-    network's ``flat_params``, so optimizers see the whole gradient as
-    one vector.
-    """
-
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-    flat: np.ndarray
-
-    @classmethod
-    def zeros_for(cls, net: DenseNetwork) -> "GradientBundle":
-        flat = np.zeros_like(net.flat_params)
-        weights, biases = _views(flat, net.layer_dims)
-        return cls(weights=weights, biases=biases, flat=flat)
-
-
 def backward(
-    net: DenseNetwork, cache: ForwardCache, output_gradient, out: GradientBundle
-) -> GradientBundle:
+    net: DenseNetwork, cache: ForwardCache, output_gradient, out: DenseNetwork
+) -> DenseNetwork:
     """Backpropagate a gradient w.r.t. the network output through the cache
-    into the buffers of ``out``, which is returned.
+    into the parameters of ``out`` (a network of the same ``layer_dims``),
+    which is returned.
 
     The output gradient must match the shape produced by the paired
     forward() call; batch gradients are summed over the batch (loss

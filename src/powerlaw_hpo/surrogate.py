@@ -8,14 +8,13 @@ body sees only the (scaled) hyperparameter vector, never the budget.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .neural_core import (
     AdamState,
     DenseNetwork,
-    GradientBundle,
     adam_step,
     backward,
     forward,
@@ -144,12 +143,11 @@ class DplNetwork:
     with a power-law head combining the raw outputs with the budget."""
 
     def __init__(self, hp_dim: int, seed, hidden_width: int = HIDDEN_WIDTH):
-        self.hp_dim = int(hp_dim)
-        dims = (self.hp_dim,) + (hidden_width,) * N_HIDDEN_LAYERS + (RAW_HEAD_WIDTH,)
+        dims = (int(hp_dim),) + (hidden_width,) * N_HIDDEN_LAYERS + (RAW_HEAD_WIDTH,)
         self.body = DenseNetwork.create(dims, seed)
         # optimizing the whole network as one flat vector keeps updates cheap
         self.adam = AdamState.for_params(self.body.flat_params)
-        self._grad = GradientBundle.zeros_for(self.body)
+        self._grad = DenseNetwork.zeros(self.body.layer_dims)
 
     def reinitialize(self, seed) -> None:
         init_weights(self.body, seed)
@@ -178,7 +176,7 @@ class DplNetwork:
                 return loss
             d_raw = _power_law_head_backward(head_cache, d_pred)
         backward(self.body, cache, d_raw, out=self._grad)
-        adam_step(self.body.flat_params, self._grad.flat, self.adam)
+        adam_step(self.body.flat_params, self._grad.flat_params, self.adam)
         return loss
 
     def full_loss(self, data: TrainingData) -> float:
@@ -196,7 +194,7 @@ class ConditionedNetwork:
         dims = (self.hp_dim + 1,) + (hidden_width,) * N_HIDDEN_LAYERS + (1,)
         self.body = DenseNetwork.create(dims, seed)
         self.adam = AdamState.for_params(self.body.flat_params)
-        self._grad = GradientBundle.zeros_for(self.body)
+        self._grad = DenseNetwork.zeros(self.body.layer_dims)
 
     def _stack(self, configs: np.ndarray, b: np.ndarray) -> np.ndarray:
         configs = np.atleast_2d(np.asarray(configs, dtype=float))
@@ -221,7 +219,7 @@ class ConditionedNetwork:
         if not math.isfinite(loss):
             return loss
         backward(self.body, cache, d_pred[:, None], out=self._grad)
-        adam_step(self.body.flat_params, self._grad.flat, self.adam)
+        adam_step(self.body.flat_params, self._grad.flat_params, self.adam)
         return loss
 
     def full_loss(self, data: TrainingData) -> float:
@@ -293,7 +291,6 @@ class DplEnsemble:
         self.hidden_width = hidden_width
         self.init_round = 0
         self.fit_round = 0
-        self.restart_count = 0
         self.members = [
             DplNetwork(hp_dim, member_init_seed(self.seed, k, 0), hidden_width)
             for k in range(self.n_members)
@@ -335,7 +332,6 @@ class DplEnsemble:
 
     def restart(self, data: TrainingData, schedule: TrainerSchedule) -> float:
         """Replay the initial fit with fresh weights after stagnation."""
-        self.restart_count += 1
         return self.fit_initial(data, schedule)
 
     def posterior_batch(self, configs, b_norm) -> tuple[np.ndarray, np.ndarray]:
@@ -353,16 +349,17 @@ class DplEnsemble:
         return mean, var
 
 
-SNAPSHOT_VERSION = 3
+SNAPSHOT_VERSION = 4
 
 
-def ensemble_snapshot(ensemble: DplEnsemble, schedule: TrainerSchedule) -> dict:
+def ensemble_snapshot(ensemble: DplEnsemble) -> dict:
     """Versioned JSON-serializable snapshot (seeds, counters, parameters).
 
-    Only what cannot be derived is stored: a member's init seed follows
-    from the ensemble seed and ``init_round``, its layer sizes from
-    ``hp_dim`` and ``hidden_width``, and its Adam learning rate is
-    ``AdamState``'s default.
+    Only ensemble state that cannot be derived is stored: a member's init
+    seed follows from the ensemble seed and ``init_round``, its layer sizes
+    from ``hp_dim`` and ``hidden_width``, and its Adam learning rate is
+    ``AdamState``'s default.  The ``TrainerSchedule`` belongs to the
+    caller, who passes it to every fit.
     """
     members = []
     for m in ensemble.members:
@@ -384,8 +381,6 @@ def ensemble_snapshot(ensemble: DplEnsemble, schedule: TrainerSchedule) -> dict:
         "hidden_width": ensemble.hidden_width,
         "init_round": ensemble.init_round,
         "fit_round": ensemble.fit_round,
-        "restart_count": ensemble.restart_count,
-        "schedule": asdict(schedule),
         "members": members,
     }
 
@@ -420,36 +415,24 @@ def _snapshot_vector(doc: dict, key: str, size: int, path: str) -> np.ndarray:
     return vec
 
 
-def _snapshot_schedule(doc: dict) -> TrainerSchedule:
-    sched = _snapshot_field(doc, "schedule")
-    names = [f.name for f in fields(TrainerSchedule)]
-    _reject_unknown(sched, names, "schedule.")
-    kwargs = {name: _snapshot_field(sched, name, "schedule.") for name in names}
-    try:
-        return TrainerSchedule(**kwargs)
-    except ValueError as exc:
-        raise ValueError(f"schedule.{exc}") from None
+def ensemble_from_snapshot(doc: dict) -> DplEnsemble:
+    """Rebuild an ensemble from a snapshot document.
 
-
-def ensemble_from_snapshot(doc: dict) -> tuple[DplEnsemble, TrainerSchedule]:
-    """Rebuild an ensemble and its schedule from a snapshot document.
-
-    Raises ValueError naming the field (``fit_round``, ``schedule.<key>``,
+    Raises ValueError naming the field (``fit_round``,
     ``members[k].adam.<key>``) when a field is missing or unknown, does not
     fit the ensemble, holds a non-finite value, or is a count that is not
     an integer or is below its floor (0 for ``seed`` and the counters, 1
-    for ``hp_dim``, ``n_members``, ``hidden_width`` and a schedule's
-    ``batch_size``).  Documents of another version are rejected.
+    for ``hp_dim``, ``n_members`` and ``hidden_width``).  Documents of
+    another version are rejected.
     """
     if _snapshot_field(doc, "version") != SNAPSHOT_VERSION:
         raise ValueError(f"unsupported snapshot version {doc['version']!r}")
     floors = {"hp_dim": 1, "seed": 0, "n_members": 1, "hidden_width": 1}
-    counters = ("init_round", "fit_round", "restart_count")
-    _reject_unknown(doc, ("version", "schedule", "members", *floors, *counters))
+    counters = ("init_round", "fit_round")
+    _reject_unknown(doc, ("version", "members", *floors, *counters))
     ens = DplEnsemble(**{key: _snapshot_count(doc, key, floor=f) for key, f in floors.items()})
     for key in counters:
         setattr(ens, key, _snapshot_count(doc, key))
-    schedule = _snapshot_schedule(doc)
     mdocs = _snapshot_field(doc, "members")
     if len(mdocs) != ens.n_members:
         raise ValueError(f"members: expected {ens.n_members} entries, got {len(mdocs)}")
@@ -466,5 +449,5 @@ def ensemble_from_snapshot(doc: dict) -> tuple[DplEnsemble, TrainerSchedule]:
             for name in ("first_moment", "second_moment")
         }
         member.adam = AdamState(**moments, step_count=_snapshot_count(adam, "step_count", path))
-    return ens, schedule
+    return ens
 

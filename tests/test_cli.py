@@ -466,6 +466,33 @@ class TestReport:
         assert summary.read_bytes() == first == (out / "aggregate.csv").read_bytes()
         assert main(run) == 0
 
+    def test_report_skips_earlier_reports(self, tmp_path):
+        # an aggregate is known by its header, whatever its file name
+        bench, out = tmp_path / "bench.json", tmp_path / "o"
+        assert main(_synth_args(bench, configs=12, b_max=4, noise=0.01)) == 0
+        assert main(["run", "--benchmarks", str(bench), "--methods", "rs", "--seeds", "0",
+                     "--budget-multiplier", "3", "--out", str(out)]) == 0
+        summary, other = out / "summary.csv", out / "other.csv"
+        assert main(["report", "--in", str(out), "--out", str(summary)]) == 0
+        assert main(["report", "--in", str(out), "--out", str(other)]) == 0
+        assert other.read_bytes() == summary.read_bytes() == (out / "aggregate.csv").read_bytes()
+
+    @pytest.mark.parametrize("where", ["header", "later row"])
+    def test_non_utf8_csv_exits_3(self, tmp_path, capsys, where):
+        in_dir = tmp_path / "in"
+        in_dir.mkdir()
+        path = in_dir / "bin.csv"
+        if where == "header":
+            path.write_bytes(b"\xff\xfe\x00bad")
+        else:
+            # past the first block a reader decodes, so the header reads cleanly
+            _write_trajectory(path, "rs", "d", 0, [(s, 0.5) for s in range(1, 2000)])
+            path.write_bytes(path.read_bytes() + b"0,rs,d,2000,0.0,\xff,0.5,0.5\n")
+        out = tmp_path / "x.csv"
+        assert main(["report", "--in", str(in_dir), "--out", str(out)]) == 3
+        assert f"error: {path}: not UTF-8 (" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_malformed_trajectory_exits_3(self, tmp_path):
         in_dir = tmp_path / "in"
         in_dir.mkdir()

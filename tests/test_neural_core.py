@@ -4,7 +4,6 @@ import pytest
 from powerlaw_hpo.neural_core import (
     AdamState,
     DenseNetwork,
-    GradientBundle,
     adam_step,
     backward,
     forward,
@@ -71,8 +70,8 @@ class TestBackward:
     def test_zero_output_gradient_gives_zero(self):
         net = DenseNetwork.create((3, 4, 2), seed=2)
         _, cache = forward(net, np.ones((1, 3)))
-        bundle = backward(net, cache, np.zeros((1, 2)), out=GradientBundle.zeros_for(net))
-        assert np.all(bundle.flat == 0)
+        bundle = backward(net, cache, np.zeros((1, 2)), out=DenseNetwork.zeros(net.layer_dims))
+        assert np.all(bundle.flat_params == 0)
 
     def test_matches_finite_differences_through_l1(self):
         # invariant: forward -> L1 -> backward agrees with central differences
@@ -89,8 +88,8 @@ class TestBackward:
 
             out, cache = forward(net, x)
             _, dl = l1_loss(out, y)
-            bundle = backward(net, cache, dl, out=GradientBundle.zeros_for(net))
-            analytic = bundle.flat
+            bundle = backward(net, cache, dl, out=DenseNetwork.zeros(net.layer_dims))
+            analytic = bundle.flat_params
             numeric = numeric_gradient(loss, net.flat_params)
             worst = max(worst, max_relative_error(analytic, numeric))
         assert worst < 1e-5
@@ -100,15 +99,30 @@ class TestBackward:
         other = DenseNetwork.create((3, 5, 2), seed=0)
         _, cache = forward(other, np.ones((1, 3)))
         with pytest.raises(ValueError):
-            backward(net, cache, np.zeros((1, 2)), out=GradientBundle.zeros_for(net))
+            backward(net, cache, np.zeros((1, 2)), out=DenseNetwork.zeros(net.layer_dims))
 
     def test_exact_fit_contributes_zero_under_sign_convention(self):
         net = DenseNetwork.create((2, 3, 1), seed=4)
         x = np.array([[0.3, 0.7]])
         out, cache = forward(net, x)
         _, dl = l1_loss(out, out.copy())
-        bundle = backward(net, cache, dl, out=GradientBundle.zeros_for(net))
-        assert np.all(bundle.flat == 0)
+        bundle = backward(net, cache, dl, out=DenseNetwork.zeros(net.layer_dims))
+        assert np.all(bundle.flat_params == 0)
+
+
+class TestZeros:
+    def test_layout_matches_create(self):
+        net = DenseNetwork.zeros((3, 5, 2))
+        made = DenseNetwork.create((3, 5, 2), seed=0)
+        assert net.flat_params.shape == made.flat_params.shape == (3 * 5 + 5 + 5 * 2 + 2,)
+        assert np.all(net.flat_params == 0)
+        for a, b in zip(net.weights + net.biases, made.weights + made.biases):
+            assert a.shape == b.shape and a.base is net.flat_params
+
+    @pytest.mark.parametrize("dims", [(3,), (3, 0, 2), (3, -1, 2), ()])
+    def test_bad_layer_dims_rejected(self, dims):
+        with pytest.raises(ValueError, match=r"^layer_dims must be >= 2 positive entries"):
+            DenseNetwork.zeros(dims)
 
 
 class TestL1Loss:
@@ -272,9 +286,9 @@ def test_leaky_relu_gradient_bit_identical_on_special_pre_activations(rows):
                 k = z.size // 3 + 1
                 z.flat[rng.integers(0, z.size, k)] = rng.choice(special, k)
             d_out = rng.normal(0.0, 1.0, (rows, 2))
-            got = backward(net, cache, d_out, out=GradientBundle.zeros_for(net))
-            want = _old_backward(net, cache, d_out, GradientBundle.zeros_for(net))
-            assert _same_bits(got.flat, want.flat), (rows, seed)
+            got = backward(net, cache, d_out, out=DenseNetwork.zeros(net.layer_dims))
+            want = _old_backward(net, cache, d_out, DenseNetwork.zeros(net.layer_dims))
+            assert _same_bits(got.flat_params, want.flat_params), (rows, seed)
 
 
 @pytest.mark.parametrize("rows", [1, 10, 65, 240])
@@ -295,6 +309,6 @@ def test_reductions_bit_identical_to_old_formulas(rows):
                         a.flat[rng.integers(0, a.size, 3)] = rng.choice(special, 3)
                 assert _same_bits(l1_loss(pred, y)[0], float(np.mean(np.abs(pred - y))))
                 _, cache = forward(net, x)
-                got = backward(net, cache, d_out, out=GradientBundle.zeros_for(net))
-                want = _old_backward(net, cache, d_out, GradientBundle.zeros_for(net))
-                assert _same_bits(got.flat, want.flat), (rows, seed, net.layer_dims)
+                got = backward(net, cache, d_out, out=DenseNetwork.zeros(net.layer_dims))
+                want = _old_backward(net, cache, d_out, DenseNetwork.zeros(net.layer_dims))
+                assert _same_bits(got.flat_params, want.flat_params), (rows, seed, net.layer_dims)

@@ -1,7 +1,8 @@
-"""The package's public names resolve, and the README's import block runs.
+"""The package's public names resolve, and the README's code blocks run.
 
 A name deleted from a module but still listed in ``__all__`` or still
-imported in the README's "Library entry points" block fails here.
+imported in the README's "Library entry points" block fails here, and so
+does a change to the snapshot API that the README's snapshot usage misses.
 """
 
 import re
@@ -17,7 +18,16 @@ def test_every_exported_name_resolves():
     assert missing == []
 
 
-def test_readme_library_block_imports():
-    section = README.read_text(encoding="utf-8").split("## Library entry points", 1)[1]
+def _run_readme_block(after: str) -> None:
+    """Execute the first ``python`` code block of README.md that follows ``after``."""
+    section = README.read_text(encoding="utf-8").split(after, 1)[1]
     block = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
-    exec(compile(block, f"{README.name}: Library entry points", "exec"), {})
+    exec(compile(block, f"{README.name}: {after}", "exec"), {})
+
+
+def test_readme_library_block_imports():
+    _run_readme_block("## Library entry points")
+
+
+def test_readme_snapshot_block_runs():
+    _run_readme_block("Ensemble snapshots (")

@@ -1,7 +1,7 @@
 import json
 import math
 import re
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -26,9 +26,9 @@ from powerlaw_hpo.surrogate import (
 from helpers import max_relative_error
 
 
-def _json_round_trip(ens, sched):
+def _json_round_trip(ens):
     """Restore an ensemble from its snapshot after a trip through JSON text."""
-    return ensemble_from_snapshot(json.loads(json.dumps(ensemble_snapshot(ens, sched))))
+    return ensemble_from_snapshot(json.loads(json.dumps(ensemble_snapshot(ens))))
 
 
 def _power_law_data(seed=1, n_configs=6, budgets=(0.25, 0.5, 0.75, 1.0)):
@@ -202,17 +202,15 @@ class TestRefine:
         ens.fit_initial(data, sched)
         ens.restart(data, sched)  # so every round counter is past its start
         ens.refine(data, sched)
-        restored, rsched = _json_round_trip(ens, sched)
+        restored = _json_round_trip(ens)
         for phase in ("refine", "restart", "refine"):
-            assert getattr(ens, phase)(data, sched) == getattr(restored, phase)(data, rsched)
+            assert getattr(ens, phase)(data, sched) == getattr(restored, phase)(data, sched)
             for ma, mb in zip(ens.members, restored.members):
                 assert np.array_equal(ma.body.flat_params, mb.body.flat_params)
                 assert np.array_equal(ma.adam.first_moment, mb.adam.first_moment)
                 assert np.array_equal(ma.adam.second_moment, mb.adam.second_moment)
                 assert ma.adam.step_count == mb.adam.step_count
-            assert json.dumps(ensemble_snapshot(restored, rsched)) == json.dumps(
-                ensemble_snapshot(ens, sched)
-            )
+            assert json.dumps(ensemble_snapshot(restored)) == json.dumps(ensemble_snapshot(ens))
 
     def test_loss_non_increasing_in_expectation(self):
         # measured: per-seed deltas fluctuate at the optimizer noise floor
@@ -270,7 +268,7 @@ class TestRestart:
         ens = DplEnsemble(hp_dim=2, seed=11, n_members=3)
         ens.fit_initial(data, sched)
         ens.restart(data, sched)
-        assert ens.restart_count == 1
+        assert ens.init_round == 2
         # post-restart parameters are init_weights output for the restart
         # seeds, then trained; re-derive by replaying the same seeds
         replay = DplEnsemble(hp_dim=2, seed=11, n_members=3)
@@ -297,27 +295,27 @@ class TestSnapshot:
         sched = TrainerSchedule.for_curve_length(8)
         ens = DplEnsemble(hp_dim=2, seed=2)
         ens.fit_initial(data, sched)
-        restored, rsched = _json_round_trip(ens, sched)
+        restored = _json_round_trip(ens)
         probe = np.array([[0.3, 0.8], [0.9, 0.1]])
         orig_mean, orig_var = ens.posterior_batch(probe, 1.0)
         new_mean, new_var = restored.posterior_batch(probe, 1.0)
         assert np.array_equal(orig_mean, new_mean)
         assert np.array_equal(orig_var, new_var)
-        assert rsched == sched
 
     def test_version_checked(self):
         ens = DplEnsemble(hp_dim=2, seed=0, hidden_width=4)
         # v1 kept the stagnation counter in its schedule; v2 stored each
-        # member's init seed, layer sizes and Adam learning rate
-        for version in (1, 2, 999):
-            doc = ensemble_snapshot(ens, TrainerSchedule())
+        # member's init seed, layer sizes and Adam learning rate; v3 stored
+        # the restart count and the caller's schedule
+        for version in (1, 2, 3, 999):
+            doc = ensemble_snapshot(ens)
             doc["version"] = version
             with pytest.raises(ValueError):
                 ensemble_from_snapshot(doc)
 
     def _snapshot(self):
         ens = DplEnsemble(hp_dim=2, seed=0, n_members=3, hidden_width=4)
-        return ensemble_snapshot(ens, TrainerSchedule())
+        return ensemble_snapshot(ens)
 
     def test_short_member_list_rejected(self):
         doc = self._snapshot()
@@ -366,27 +364,12 @@ class TestSnapshot:
 
     @pytest.mark.parametrize(
         "key",
-        ["hp_dim", "seed", "n_members", "hidden_width", "init_round", "fit_round",
-         "restart_count", "schedule", "members"],
+        ["hp_dim", "seed", "n_members", "hidden_width", "init_round", "fit_round", "members"],
     )
     def test_missing_top_level_field_rejected(self, key):
         doc = self._snapshot()
         del doc[key]
         with pytest.raises(ValueError, match=rf"^{key}: missing$"):
-            ensemble_from_snapshot(doc)
-
-    def test_missing_schedule_key_rejected(self):
-        doc = self._snapshot()
-        del doc["schedule"]["batch_size"]
-        with pytest.raises(ValueError, match=r"^schedule\.batch_size: missing$"):
-            ensemble_from_snapshot(doc)
-
-    def test_unknown_schedule_key_rejected(self):
-        doc = self._snapshot()
-        doc["schedule"]["iterations_since_improvement"] = 0  # a v1 field
-        with pytest.raises(
-            ValueError, match=r"^schedule\.iterations_since_improvement: unknown field$"
-        ):
             ensemble_from_snapshot(doc)
 
     @pytest.mark.parametrize("key", ["lr", "init_seed", "layer_dims"])
@@ -415,9 +398,33 @@ class TestSnapshot:
         with pytest.raises(ValueError, match=r"^trainer: unknown field$"):
             ensemble_from_snapshot(doc)
 
+    # keys a v3 snapshot stored: nothing read the count, and the schedule is the caller's
+    V3_KEYS = {"restart_count": 1, "schedule": asdict(TrainerSchedule())}
+
+    @pytest.mark.parametrize("key", list(V3_KEYS))
+    def test_v3_top_level_key_rejected(self, key):
+        doc = self._snapshot()
+        doc[key] = self.V3_KEYS[key]
+        with pytest.raises(ValueError, match=rf"^{key}: unknown field$"):
+            ensemble_from_snapshot(doc)
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("batch_size", 0, "must be >= 1, got 0"),
+            ("refine_epochs", -1, "must be >= 0, got -1"),
+            ("initial_epochs", "250", "must be an integer, got '250'"),
+        ],
+    )
+    def test_invalid_schedule_value_names_field(self, key, value, message):
+        # a v4 snapshot stores no schedule: the schedule the caller passes to
+        # every fit rejects the values a v3 snapshot checked, naming the field
+        with pytest.raises(ValueError, match=rf"^{key}: {re.escape(message)}$"):
+            TrainerSchedule(**{key: value})
+
     # the floor of each count a snapshot stores at its top level
     COUNT_FLOORS = {
-        "init_round": 0, "fit_round": 0, "restart_count": 0,
+        "init_round": 0, "fit_round": 0,
         "seed": 0, "hp_dim": 1, "n_members": 1, "hidden_width": 1,
     }
 
@@ -445,20 +452,6 @@ class TestSnapshot:
         doc["members"][1]["adam"]["step_count"] = value
         message = r"^members\[1\]\.adam\.step_count: must be an integer"
         with pytest.raises(ValueError, match=message):
-            ensemble_from_snapshot(doc)
-
-    @pytest.mark.parametrize(
-        "key, value, message",
-        [
-            ("batch_size", 0, "must be >= 1, got 0"),
-            ("refine_epochs", -1, "must be >= 0, got -1"),
-            ("initial_epochs", "250", "must be an integer, got '250'"),
-        ],
-    )
-    def test_invalid_schedule_value_names_field(self, key, value, message):
-        doc = self._snapshot()
-        doc["schedule"][key] = value
-        with pytest.raises(ValueError, match=rf"^schedule\.{key}: {re.escape(message)}$"):
             ensemble_from_snapshot(doc)
 
 

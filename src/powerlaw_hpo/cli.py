@@ -78,21 +78,16 @@ def _trajectory_cell(row: dict, column: str, parse, valid, expected: str, where:
     return value
 
 
-def _is_aggregate(path: Path) -> bool:
-    """Whether the CSV at ``path`` is an aggregate: its header row is AGGREGATE_COLUMNS."""
-    try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            return tuple(next(csv.reader(fh), ())) == AGGREGATE_COLUMNS
-    except UnicodeDecodeError as exc:
-        raise BenchmarkFormatError(f"{path}: not UTF-8 ({exc})") from exc
-
-
-def read_trajectory_rows(path: Path) -> list[dict]:
-    """Rows of one trajectory CSV, with ``steps`` and ``normalized_regret`` parsed."""
+def read_trajectory_rows(path: Path) -> list[dict] | None:
+    """Rows of one trajectory CSV, with ``steps`` and ``normalized_regret`` parsed;
+    None for an aggregate, known by its header row (AGGREGATE_COLUMNS) whatever its name."""
     try:
         with open(path, encoding="utf-8", newline="") as fh:
             reader = csv.DictReader(fh)
-            if reader.fieldnames is None or tuple(reader.fieldnames) != TRAJECTORY_COLUMNS:
+            header = tuple(reader.fieldnames or ())
+            if header == AGGREGATE_COLUMNS:
+                return None
+            if header != TRAJECTORY_COLUMNS:
                 raise BenchmarkFormatError(
                     f"{path}: expected trajectory columns {TRAJECTORY_COLUMNS}, "
                     f"got {reader.fieldnames}"
@@ -114,22 +109,6 @@ def read_trajectory_rows(path: Path) -> list[dict]:
         raise BenchmarkFormatError(f"{path}: not UTF-8 ({exc})") from exc
 
 
-def _lvcf(series: list[tuple[int, float]], grid: list[int]) -> list[float]:
-    """Step-function (last value carried forward) evaluation on a grid.
-
-    Grid points before the first observation take the first value.
-    """
-    out = []
-    i = 0
-    current = series[0][1]
-    for step in grid:
-        while i < len(series) and series[i][0] <= step:
-            current = series[i][1]
-            i += 1
-        out.append(current)
-    return out
-
-
 def aggregate_trajectory_rows(rows: list[dict]) -> list[tuple]:
     """Mean and standard error of normalized regret per (method, step).
 
@@ -146,9 +125,12 @@ def aggregate_trajectory_rows(rows: list[dict]) -> list[tuple]:
         series.setdefault(key, []).append((row["steps"], row["normalized_regret"]))
         grid_points.add(row["steps"])
     grid = sorted(grid_points)
-    by_method: dict[str, list[list[float]]] = {}
+    by_method: dict[str, list[np.ndarray]] = {}
     for (method, _, _), s in sorted(series.items()):
-        by_method.setdefault(method, []).append(_lvcf(sorted(s), grid))
+        steps, values = zip(*sorted(s))
+        # last value carried forward; grid points before the first step take the first value
+        last = np.maximum(np.searchsorted(steps, grid, side="right") - 1, 0)
+        by_method.setdefault(method, []).append(np.asarray(values)[last])
     out = []
     for method in sorted(by_method):
         runs = np.asarray(by_method[method])  # (n_runs, n_grid)
@@ -194,10 +176,11 @@ def cmd_run(args) -> int:
 
 
 def _aggregate_directory(in_dir: Path, files: list[Path], out_path: Path) -> int:
-    """Aggregate the trajectory CSVs ``files`` of ``in_dir`` into ``out_path``."""
-    rows: list[dict] = []
-    for path in files:
-        rows.extend(read_trajectory_rows(path))
+    """Aggregate the trajectory CSVs among ``files`` of ``in_dir`` into ``out_path``."""
+    tables = [t for t in map(read_trajectory_rows, files) if t is not None]
+    if not tables:
+        raise BenchmarkFormatError(f"no trajectory CSVs in {in_dir}")
+    rows = [row for table in tables for row in table]
     if not rows:
         raise BenchmarkFormatError(f"{in_dir}: the trajectory CSVs hold no rows")
     _write_csv(out_path, AGGREGATE_COLUMNS, aggregate_trajectory_rows(rows))
@@ -207,16 +190,10 @@ def _aggregate_directory(in_dir: Path, files: list[Path], out_path: Path) -> int
 def cmd_report(args) -> int:
     in_dir = Path(args.in_dir)
     if not in_dir.is_dir():
-        print(f"error: {in_dir} is not a directory", file=sys.stderr)
-        return EXIT_DATA
+        raise BenchmarkFormatError(f"{in_dir} is not a directory")
     out_path = Path(args.out).resolve()
-    # aggregates (`run`'s or an earlier report's) and this report's output are not trajectories
-    files = sorted(
-        p for p in in_dir.glob("*.csv") if p.resolve() != out_path and not _is_aggregate(p)
-    )
-    if not files:
-        print(f"error: no trajectory CSVs in {in_dir}", file=sys.stderr)
-        return EXIT_DATA
+    # this report's own output is skipped whatever its header; aggregates are skipped on read
+    files = sorted(p for p in in_dir.glob("*.csv") if p.resolve() != out_path)
     return _aggregate_directory(in_dir, files, out_path)
 
 

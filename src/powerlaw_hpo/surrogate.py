@@ -29,6 +29,15 @@ RAW_HEAD_WIDTH = 5  # alpha, (beta, beta-gate), (gamma, gamma-gate)
 DEFAULT_ENSEMBLE_SIZE = 5
 
 
+def _count(value, name: str, floor: int = 0) -> int:
+    """``value`` if it is an ``int`` >= ``floor``; bools and numpy integers fail."""
+    if type(value) is not int:
+        raise ValueError(f"{name}: must be an integer, got {value!r}")
+    if value < floor:
+        raise ValueError(f"{name}: must be >= {floor}, got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class TrainerSchedule:
     """Epoch counts, batch size and the restart threshold.
@@ -48,12 +57,7 @@ class TrainerSchedule:
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
-            if type(value) is not int:
-                raise ValueError(f"{f.name}: must be an integer, got {value!r}")
-            floor = 1 if f.name == "batch_size" else 0
-            if value < floor:
-                raise ValueError(f"{f.name}: must be >= {floor}, got {value}")
+            _count(getattr(self, f.name), f.name, floor=1 if f.name == "batch_size" else 0)
 
     @classmethod
     def for_curve_length(cls, lc_length: int, **kwargs) -> "TrainerSchedule":
@@ -273,7 +277,9 @@ class DplEnsemble:
 
     All randomness is derived from the ensemble seed, a per-member index
     and monotone round counters, so fits, refinements and restarts are
-    reproducible and snapshots can resume mid-run.
+    reproducible and snapshots can resume mid-run.  The four shape
+    arguments must be ``int`` (not bool, float or a numpy integer); ``seed``
+    is >= 0 and the others are >= 1.
     """
 
     def __init__(
@@ -283,17 +289,15 @@ class DplEnsemble:
         n_members: int = DEFAULT_ENSEMBLE_SIZE,
         hidden_width: int = HIDDEN_WIDTH,
     ):
-        if n_members < 1:
-            raise ValueError("ensemble needs at least one member")
-        self.hp_dim = int(hp_dim)
-        self.seed = int(seed)
-        self.n_members = int(n_members)
-        self.hidden_width = hidden_width
+        self.hp_dim = _count(hp_dim, "hp_dim", floor=1)
+        self.seed = _count(seed, "seed")
+        self.n_members = _count(n_members, "n_members", floor=1)
+        self.hidden_width = _count(hidden_width, "hidden_width", floor=1)
         self.init_round = 0
         self.fit_round = 0
         self.members = [
-            DplNetwork(hp_dim, member_init_seed(self.seed, k, 0), hidden_width)
-            for k in range(self.n_members)
+            DplNetwork(hp_dim, member_init_seed(seed, k, 0), hidden_width)
+            for k in range(n_members)
         ]
 
     def fit_initial(self, data: TrainingData, schedule: TrainerSchedule) -> float:
@@ -391,23 +395,29 @@ def _snapshot_field(doc: dict, key: str, path: str = ""):
     return doc[key]
 
 
+def _snapshot_node(doc: dict, key: str, kind: type, path: str = ""):
+    """``doc[key]``, which must be a JSON array (``kind`` list) or object (``kind`` dict)."""
+    value = _snapshot_field(doc, key, path)
+    if not isinstance(value, kind):
+        raise ValueError(f"{path}{key}: must be {'a list' if kind is list else 'an object'}")
+    return value
+
+
 def _reject_unknown(doc: dict, known, path: str = "") -> None:
     unknown = sorted(set(doc) - set(known))
     if unknown:
         raise ValueError(f"{path}{unknown[0]}: unknown field")
 
 
-def _snapshot_count(doc: dict, key: str, path: str = "", floor: int = 0):
-    value = _snapshot_field(doc, key, path)
-    if type(value) is not int:
-        raise ValueError(f"{path}{key}: must be an integer, got {value!r}")
-    if value < floor:
-        raise ValueError(f"{path}{key}: must be >= {floor}, got {value}")
-    return value
-
-
 def _snapshot_vector(doc: dict, key: str, size: int, path: str) -> np.ndarray:
-    vec = np.asarray(_snapshot_field(doc, key, path), dtype=float)
+    values = _snapshot_node(doc, key, list, path)
+    for i, v in enumerate(values):
+        if type(v) is not float and type(v) is not int:
+            raise ValueError(f"{path}{key}[{i}]: must be a number, got {v!r}")
+    try:
+        vec = np.asarray(values, dtype=float)
+    except OverflowError:  # an integer beyond the float range
+        raise ValueError(f"{path}{key}: non-finite value") from None
     if vec.shape != (size,):
         raise ValueError(f"{path}{key}: expected {size} values, got shape {vec.shape}")
     if not np.all(np.isfinite(vec)):
@@ -419,35 +429,41 @@ def ensemble_from_snapshot(doc: dict) -> DplEnsemble:
     """Rebuild an ensemble from a snapshot document.
 
     Raises ValueError naming the field (``fit_round``,
-    ``members[k].adam.<key>``) when a field is missing or unknown, does not
-    fit the ensemble, holds a non-finite value, or is a count that is not
-    an integer or is below its floor (0 for ``seed`` and the counters, 1
-    for ``hp_dim``, ``n_members`` and ``hidden_width``).  Documents of
-    another version are rejected.
+    ``members[k].adam.<key>``, ``members[k].params[i]``) when a field is
+    missing or unknown, has the wrong JSON type (``members`` is a list,
+    each member and its ``adam`` an object, each vector a list of numbers),
+    does not fit the ensemble, holds a non-finite value, or is a count that
+    is not an integer or is below its floor (0 for the round counters and
+    ``step_count``).  ``DplEnsemble`` itself checks the four shape fields.
+    Documents of another version, or whose version is not the int 4, are
+    rejected.
     """
-    if _snapshot_field(doc, "version") != SNAPSHOT_VERSION:
-        raise ValueError(f"unsupported snapshot version {doc['version']!r}")
-    floors = {"hp_dim": 1, "seed": 0, "n_members": 1, "hidden_width": 1}
+    version = _snapshot_field(doc, "version")
+    if type(version) is not int or version != SNAPSHOT_VERSION:
+        raise ValueError(f"unsupported snapshot version {version!r}")
+    shape = ("hp_dim", "seed", "n_members", "hidden_width")
     counters = ("init_round", "fit_round")
-    _reject_unknown(doc, ("version", "members", *floors, *counters))
-    ens = DplEnsemble(**{key: _snapshot_count(doc, key, floor=f) for key, f in floors.items()})
+    _reject_unknown(doc, ("version", "members", *shape, *counters))
+    ens = DplEnsemble(**{key: _snapshot_field(doc, key) for key in shape})
     for key in counters:
-        setattr(ens, key, _snapshot_count(doc, key))
-    mdocs = _snapshot_field(doc, "members")
+        setattr(ens, key, _count(_snapshot_field(doc, key), key))
+    mdocs = _snapshot_node(doc, "members", list)
     if len(mdocs) != ens.n_members:
         raise ValueError(f"members: expected {ens.n_members} entries, got {len(mdocs)}")
     for k, (member, mdoc) in enumerate(zip(ens.members, mdocs)):
+        if not isinstance(mdoc, dict):
+            raise ValueError(f"members[{k}]: must be an object")
         path = f"members[{k}]."
         _reject_unknown(mdoc, ("params", "adam"), path)
         flat = member.body.flat_params
         flat[...] = _snapshot_vector(mdoc, "params", flat.size, path)
-        adam = _snapshot_field(mdoc, "adam", path)
+        adam = _snapshot_node(mdoc, "adam", dict, path)
         path += "adam."
         _reject_unknown(adam, ("first_moment", "second_moment", "step_count"), path)
         moments = {
             name: _snapshot_vector(adam, name, flat.size, path)
             for name in ("first_moment", "second_moment")
         }
-        member.adam = AdamState(**moments, step_count=_snapshot_count(adam, "step_count", path))
+        step_count = _count(_snapshot_field(adam, "step_count", path), f"{path}step_count")
+        member.adam = AdamState(**moments, step_count=step_count)
     return ens
-

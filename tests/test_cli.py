@@ -6,8 +6,10 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from powerlaw_hpo.cli import AGGREGATE_COLUMNS, main
+from powerlaw_hpo.cli import AGGREGATE_COLUMNS, aggregate_trajectory_rows, main
 from powerlaw_hpo.hpo_loop import TRAJECTORY_COLUMNS
 
 
@@ -439,6 +441,17 @@ class TestReport:
         empty.mkdir()
         assert main(["report", "--in", str(empty), "--out", str(tmp_path / "x.csv")]) == 3
 
+    def test_aggregate_only_directory_exits_3(self, tmp_path, capsys):
+        in_dir = tmp_path / "in"
+        in_dir.mkdir()
+        (in_dir / "aggregate.csv").write_text(
+            ",".join(AGGREGATE_COLUMNS) + "\nrs,1,0.5,0.0,1\n", encoding="utf-8"
+        )
+        out = tmp_path / "x.csv"
+        assert main(["report", "--in", str(in_dir), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"error: no trajectory CSVs in {in_dir}\n"
+        assert not out.exists()
+
     def test_header_only_trajectories_exit_3(self, tmp_path, capsys):
         in_dir = tmp_path / "in"
         in_dir.mkdir()
@@ -536,3 +549,47 @@ class TestReport:
         )
         assert main(["report", "--in", str(in_dir), "--out", str(tmp_path / "x.csv")]) == 3
         assert f"{path}: line 2: expected 8 fields" in capsys.readouterr().err
+
+
+def _carried_value(points, step):
+    """The value at the largest step <= ``step`` (the last of its repeats in
+    sorted order), or the first value when every step lies beyond it."""
+    before = [p for p in points if p[0] <= step]
+    return max(before)[1] if before else min(points)[1]
+
+
+@settings(max_examples=200, derandomize=True)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["rs", "sh"]),
+            st.sampled_from(["d1", "d2"]),
+            st.sampled_from(["0", "1", "2"]),
+            st.integers(1, 12),
+            st.floats(-1.0, 2.0),
+        ),
+        min_size=1,
+        max_size=30,
+    )
+)
+def test_aggregate_matches_brute_force(entries):
+    rows = [
+        {"method": m, "dataset": d, "seed": s, "steps": step, "normalized_regret": v}
+        for m, d, s, step, v in entries
+    ]
+    grid = sorted({e[3] for e in entries})
+    runs = {}
+    for m, d, s, step, v in entries:
+        runs.setdefault(m, {}).setdefault((d, s), []).append((step, v))
+    expected = []
+    for method in sorted(runs):
+        n = len(runs[method])
+        for step in grid:
+            values = [_carried_value(points, step) for points in runs[method].values()]
+            mean = math.fsum(values) / n
+            var = math.fsum((v - mean) ** 2 for v in values) / (n - 1) if n > 1 else 0.0
+            expected.append((method, step, mean, math.sqrt(var / n), n))
+    got = aggregate_trajectory_rows(rows)
+    assert [(r[0], r[1], r[4]) for r in got] == [(e[0], e[1], e[4]) for e in expected]
+    for row, want in zip(got, expected):
+        assert row[2:4] == pytest.approx(want[2:4], rel=1e-9, abs=1e-12)

@@ -2,15 +2,20 @@
 
 A name deleted from a module but still listed in ``__all__`` or still
 imported in the README's "Library entry points" block fails here, and so
-does a change to the snapshot API that the README's snapshot usage misses.
+does a change to the snapshot API that the README's snapshot usage misses,
+and so does a benchmark hook that the README's "Refactor gate" list omits.
 """
 
 import re
+import sys
 from pathlib import Path
 
 import powerlaw_hpo
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
+sys.path.insert(0, str(ROOT / "perfbench"))
+from tracer import Tracer  # noqa: E402
 
 
 def test_every_exported_name_resolves():
@@ -31,3 +36,10 @@ def test_readme_library_block_imports():
 
 def test_readme_snapshot_block_runs():
     _run_readme_block("Ensemble snapshots (")
+
+
+def test_readme_refactor_gate_lists_every_hooked_name():
+    gate = README.read_text(encoding="utf-8").split("## Refactor gate", 1)[1].split("\n## ", 1)[0]
+    hooked = {key for _, key, _ in Tracer().replacements()}
+    missing = sorted(k for k in hooked if not re.search(rf"`(\w+\.)*{re.escape(k)}`", gate))
+    assert missing == []

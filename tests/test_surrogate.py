@@ -5,6 +5,8 @@ from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from powerlaw_hpo.neural_core import forward
 from powerlaw_hpo.surrogate import (
@@ -289,6 +291,36 @@ class TestRestart:
         assert np.array_equal(ens.members[0].body.flat_params, untouched.body.flat_params)
 
 
+class TestEnsembleShape:
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("hidden_width", 8.0, "must be an integer, got 8.0"),
+            ("hidden_width", np.int64(8), f"must be an integer, got {np.int64(8)!r}"),
+            ("hp_dim", 2.9, "must be an integer, got 2.9"),
+            ("n_members", 2.5, "must be an integer, got 2.5"),
+            ("seed", -1, "must be >= 0, got -1"),
+            ("n_members", 0, "must be >= 1, got 0"),
+        ],
+    )
+    def test_constructor_rejects_bad_shape(self, key, value, message):
+        kwargs = {"hp_dim": 2, "seed": 0, "hidden_width": 4, key: value}
+        with pytest.raises(ValueError, match=rf"^{key}: {re.escape(message)}$"):
+            DplEnsemble(**kwargs)
+
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(
+        hp_dim=st.integers(1, 3),
+        seed=st.integers(0, 2**32),
+        n_members=st.integers(1, 3),
+        hidden_width=st.integers(1, 8),
+    )
+    def test_accepted_shape_round_trips(self, hp_dim, seed, n_members, hidden_width):
+        ens = DplEnsemble(hp_dim, seed, n_members=n_members, hidden_width=hidden_width)
+        restored = _json_round_trip(ens)
+        assert ensemble_snapshot(restored) == ensemble_snapshot(ens)
+
+
 class TestSnapshot:
     def test_round_trip_preserves_predictions(self):
         data = _power_law_data()
@@ -444,6 +476,31 @@ class TestSnapshot:
         doc[key] = value
         message = rf"^{key}: must be an integer, got {re.escape(repr(value))}$"
         with pytest.raises(ValueError, match=message):
+            ensemble_from_snapshot(doc)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: doc.update(members=5), "members: must be a list"),
+            (lambda doc: doc.update(members={"a": {}, "b": {}}), "members: must be a list"),
+            (lambda doc: doc["members"].__setitem__(0, 5), "members[0]: must be an object"),
+            (lambda doc: doc["members"][0].update(adam=5), "members[0].adam: must be an object"),
+            (lambda doc: doc["members"][0].update(params="x"), "members[0].params: must be a list"),
+            (lambda doc: doc["members"][0]["adam"]["first_moment"].__setitem__(3, "1"),
+             "members[0].adam.first_moment[3]: must be a number, got '1'"),
+            (lambda doc: doc["members"][1]["params"].__setitem__(3, True),
+             "members[1].params[3]: must be a number, got True"),
+            (lambda doc: doc["members"][1]["params"].__setitem__(0, 10**400),
+             "members[1].params: non-finite value"),
+            (lambda doc: doc.update(version=4.0), "unsupported snapshot version 4.0"),
+        ],
+        ids=["members-int", "members-object", "member-int", "adam-int", "params-string",
+             "moment-entry-string", "params-entry-bool", "params-entry-huge-int", "version-float"],
+    )
+    def test_wrong_json_type_names_field(self, edit, message):
+        doc = self._snapshot()
+        edit(doc)
+        with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
             ensemble_from_snapshot(doc)
 
     @pytest.mark.parametrize("value", ["3", 2.5, False])

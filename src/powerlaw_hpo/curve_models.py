@@ -125,6 +125,8 @@ class FitConfig:
     extremes, decay rate from a two-point ratio), jittered after the first
     attempt, and runs Adam with a cosine-decayed learning rate; the best
     coefficients by training MAE win.  Deterministic for a given seed.
+    ``lr`` must be a finite number > 0, and ``max_epochs`` and
+    ``restarts`` ``int``s >= 1 (a bool, a float or a numpy integer fails).
     """
 
     lr: float = 0.05
@@ -133,8 +135,13 @@ class FitConfig:
     seed: int | tuple[int, ...] = 0
 
     def __post_init__(self):
+        lr = self.lr
+        if isinstance(lr, bool) or not isinstance(lr, (int, float)) or not 0.0 < lr < math.inf:
+            raise ValueError(f"lr must be finite and > 0, got {lr!r}")
         for name in ("max_epochs", "restarts"):
             value = getattr(self, name)
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an integer, got {value!r}")
             if value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
 
@@ -172,9 +179,14 @@ def _internal_values_jac(
     The caller passes the per-fit invariants ``lnb = log(b)`` and
     ``neg_lnb = -lnb`` and a ``jac`` buffer whose column 0 already holds
     1.0; the returned jacobian is that buffer, overwritten by the next
-    call.  With floats ``alpha``, ``u``, ``gamma`` the buffer is ``(n, 3)``;
-    with ``(R, 1)`` columns of R restarts' coefficients it is ``(R, n, 3)``,
-    and row r of the values and jacobian is restart r's.
+    call.  It is called in two layouts, with the same values row for row:
+
+    - one restart: floats ``alpha``, ``u``, ``gamma``, length-n ``lnb``
+      and an ``(n, 3)`` buffer;
+    - R restarts flat, as the fit calls it: length ``R*n`` coefficient
+      columns, ``lnb`` tiled R times and an ``(R*n, 3)`` buffer, whose row
+      ``r*n + i`` is restart r at point i.  Every operand then has one
+      shape, so each step is a single same-shape ufunc call.
     """
     power = jac[..., 1]
     np.multiply(lnb, gamma, out=power)
@@ -208,11 +220,17 @@ def adam_step(params: list[float], grad: list[float], state: _CoefficientAdam) -
     bc2 = 1.0 - ADAM_BETA2**t
     scale = state.lr / bc1
     m, v = state.first_moment, state.second_moment
-    for i in range(3):
-        g = grad[i]
-        m[i] = mi = m[i] * ADAM_BETA1 + g * (1.0 - ADAM_BETA1)
-        v[i] = vi = v[i] * ADAM_BETA2 + g * g * (1.0 - ADAM_BETA2)
-        params[i] -= mi / (math.sqrt(vi / bc2) + ADAM_EPSILON) * scale
+    g0, g1, g2 = grad
+    # the loop over the three coefficients, unrolled
+    m[0] = m0 = m[0] * ADAM_BETA1 + g0 * (1.0 - ADAM_BETA1)
+    v[0] = v0 = v[0] * ADAM_BETA2 + g0 * g0 * (1.0 - ADAM_BETA2)
+    params[0] -= m0 / (math.sqrt(v0 / bc2) + ADAM_EPSILON) * scale
+    m[1] = m1 = m[1] * ADAM_BETA1 + g1 * (1.0 - ADAM_BETA1)
+    v[1] = v1 = v[1] * ADAM_BETA2 + g1 * g1 * (1.0 - ADAM_BETA2)
+    params[1] -= m1 / (math.sqrt(v1 / bc2) + ADAM_EPSILON) * scale
+    m[2] = m2 = m[2] * ADAM_BETA1 + g2 * (1.0 - ADAM_BETA1)
+    v[2] = v2 = v[2] * ADAM_BETA2 + g2 * g2 * (1.0 - ADAM_BETA2)
+    params[2] -= m2 / (math.sqrt(v2 / bc2) + ADAM_EPSILON) * scale
 
 
 @dataclass(slots=True)
@@ -255,8 +273,8 @@ def fit_single_curve(
     the asymptote (min-smooth diverging curves first).
 
     The restarts run in lockstep.  Each epoch computes every restart's
-    model values, loss and gradient in one set of numpy calls on
-    ``(restarts, n)`` arrays, then steps each live restart's own Adam.
+    model values, loss and gradient in one set of numpy calls on flat
+    ``restarts * n`` arrays, then steps each live restart's own Adam.
     A restart ends at a loss below 1e-12, or at a non-finite loss or
     gradient, which marks it diverged.  The result is bit-identical to
     running the restarts one after another: each restart keeps its first
@@ -277,19 +295,25 @@ def fit_single_curve(
     cfg = fit_config or FitConfig()
     b = np.arange(1, y.size + 1, dtype=float) / float(max_budget)
     seed_base = cfg.seed if isinstance(cfg.seed, tuple) else (cfg.seed,)
-    # per-fit invariants and buffers, hoisted out of the epoch loop;
-    # row r of each buffer belongs to restart r
-    n = y.size
-    lnb = np.log(b)
+    # per-fit invariants and buffers, hoisted out of the epoch loop, in one
+    # flat layout: row r*n + i of each buffer is restart r at point i
+    n, n_restarts = y.size, cfg.restarts
+    lnb = np.tile(np.log(b), n_restarts)
     neg_lnb = -lnb
-    q = np.empty((cfg.restarts, 3))
-    alphas, us, gammas = q[:, 0:1], q[:, 1:2], q[:, 2:3]
-    jac = np.empty((cfg.restarts, n, 3))
-    jac[:, :, 0] = 1.0
-    buf = np.empty((cfg.restarts, n))  # |resid|, then the loss gradient sign(resid) / n
-    # restart r's gradient is the (1, n) @ (n, 3) product of buf[r] and jac[r]
-    grad_lhs = buf[:, None, :]
-    grad_out = np.empty((cfg.restarts, 1, 3))
+    y_rows = np.tile(y, n_restarts)
+    q = np.empty((n_restarts, 3))
+    qx = np.empty((n_restarts * n, 3))  # q's row r repeated n times
+    qx_restarts = qx.reshape(n_restarts, n, 3)
+    alphas, us, gammas = qx[:, 0], qx[:, 1], qx[:, 2]
+    jac = np.empty((n_restarts * n, 3))
+    jac[:, 0] = 1.0
+    buf = np.empty(n_restarts * n)  # |resid|, then the loss gradient sign(resid) / n
+    buf_restarts = buf.reshape(n_restarts, n)
+    # restart r's gradient is the (1, n) @ (n, 3) product of its rows of
+    # buf and jac; an (R, 3, n) jacobian would pick another BLAS kernel
+    grad_lhs = buf.reshape(n_restarts, 1, n)
+    jac_restarts = jac.reshape(n_restarts, n, 3)
+    grad_out = np.empty((n_restarts, 1, 3))
     grad_rows = grad_out[:, 0]
     lrs = [
         cfg.lr * 0.5 * (1.0 + math.cos(math.pi * epoch / cfg.max_epochs))
@@ -297,25 +321,27 @@ def fit_single_curve(
     ]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         restarts = []
-        for attempt in range(cfg.restarts):
+        for attempt in range(n_restarts):
             rng = np.random.default_rng(seed_base + (attempt,))
             guess = _initial_guess(y, b, rng, jitter=attempt > 0)
             # extreme observations can push a guess out of float range
             params = np.clip(np.nan_to_num(guess), -1e3, 1e3).tolist()
             restarts.append(_Restart(params, _CoefficientAdam(lr=cfg.lr)))
-        live = list(range(cfg.restarts))  # the restarts still stepping, in order
+        live = list(range(n_restarts))  # the restarts still stepping, in order
         # adam_step updates each list in place; ended restarts keep their
         # rows, whose values go unused
         rows = [restart.params for restart in restarts]
         for lr in lrs:
             q[...] = rows
+            qx_restarts[...] = q[:, None, :]
             resid, _ = _internal_values_jac(alphas, us, gammas, lnb=lnb, neg_lnb=neg_lnb, jac=jac)
-            resid -= y
+            resid -= y_rows
+            np.abs(resid, out=buf)
             # np.mean's own sum-then-divide, without its wrapper, row by row
-            sums = np.add.reduce(np.abs(resid, out=buf), axis=1).tolist()
+            sums = np.add.reduce(buf_restarts, axis=1).tolist()
             np.sign(resid, out=buf)
             buf /= n
-            np.matmul(grad_lhs, jac, out=grad_out)
+            np.matmul(grad_lhs, jac_restarts, out=grad_out)
             grads = grad_rows.tolist()
             stepping = []
             for r in live:
@@ -329,12 +355,13 @@ def fit_single_curve(
                     restart.best_params = tuple(restart.params)
                 if loss < 1e-12:
                     continue
-                if not all(map(math.isfinite, grads[r])):
+                g0, g1, g2 = grads[r]
+                if not (math.isfinite(g0) and math.isfinite(g1) and math.isfinite(g2)):
                     restart.diverged = True
                     continue
                 stepping.append(r)
             live = stepping
-            ended = live[0] if live else cfg.restarts  # restarts 0..ended-1 have ended
+            ended = live[0] if live else n_restarts  # restarts 0..ended-1 have ended
             if not live or (ended and _merge(restarts[:ended])[0] < 1e-10):
                 break
             for r in live:

@@ -43,7 +43,8 @@ class RunSettings:
     ``total_step_budget`` defaults to budget_multiplier * b_max (the cost
     of fully evaluating that many configurations).  The seed and the step
     counts are checked here, once, so every method rejects the same
-    settings with the same error.
+    settings with the same error: each must be an ``int`` (a bool, a float
+    or a numpy integer fails), the seed >= 0 and the counts >= 1.
     """
 
     seed: int = 0
@@ -51,12 +52,15 @@ class RunSettings:
     budget_multiplier: int = 20
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        for name in ("budget_multiplier", "total_step_budget"):
+        counts = [("seed", 0), ("budget_multiplier", 1)]
+        if self.total_step_budget is not None:
+            counts.append(("total_step_budget", 1))
+        for name, floor in counts:
             value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < floor:
+                raise ValueError(f"{name} must be >= {floor}, got {value}")
 
     def resolve_budget(self, table: BenchmarkTable) -> int:
         if self.total_step_budget is not None:

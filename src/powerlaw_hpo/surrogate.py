@@ -428,16 +428,19 @@ def _snapshot_vector(doc: dict, key: str, size: int, path: str) -> np.ndarray:
 def ensemble_from_snapshot(doc: dict) -> DplEnsemble:
     """Rebuild an ensemble from a snapshot document.
 
-    Raises ValueError naming the field (``fit_round``,
-    ``members[k].adam.<key>``, ``members[k].params[i]``) when a field is
-    missing or unknown, has the wrong JSON type (``members`` is a list,
-    each member and its ``adam`` an object, each vector a list of numbers),
+    Raises ValueError naming the field (``snapshot`` for the document
+    itself, ``fit_round``, ``members[k].adam.<key>``,
+    ``members[k].params[i]``) when a field is missing or unknown, has the
+    wrong JSON type (the document, each member and its ``adam`` are
+    objects, ``members`` is a list, each vector a list of numbers),
     does not fit the ensemble, holds a non-finite value, or is a count that
     is not an integer or is below its floor (0 for the round counters and
     ``step_count``).  ``DplEnsemble`` itself checks the four shape fields.
     Documents of another version, or whose version is not the int 4, are
     rejected.
     """
+    if not isinstance(doc, dict):
+        raise ValueError(f"snapshot: must be an object, got {type(doc).__name__}")
     version = _snapshot_field(doc, "version")
     if type(version) is not int or version != SNAPSHOT_VERSION:
         raise ValueError(f"unsupported snapshot version {version!r}")

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -204,7 +205,9 @@ class TestFitJacobians:
                 assert np.allclose(jac[:, j], numeric, rtol=1e-4, atol=1e-6), (trial, j)
 
     def test_restart_rows_match_single_calls(self):
-        # the fit's (R, n, 3) call against one (n, 3) call per restart, with ==
+        # the (R, n, 3) call and the fit's flat (R*n, 3) call, whose row
+        # r*n + i is restart r at point i, against one (n, 3) call per
+        # restart, with ==
         rng = np.random.default_rng(6)
         for n in (2, 5, 13, 25):
             b = np.arange(1, n + 1) / (n + 3.0)
@@ -215,10 +218,20 @@ class TestFitJacobians:
             vals, _ = _internal_values_jac(
                 q[:, 0:1], q[:, 1:2], q[:, 2:3], lnb=lnb, neg_lnb=-lnb, jac=jac
             )
+            flat_lnb = np.tile(lnb, 4)
+            qx = np.empty((4 * n, 3))
+            qx.reshape(4, n, 3)[...] = q[:, None, :]
+            flat_jac = np.empty((4 * n, 3))
+            flat_jac[:, 0] = 1.0
+            flat_vals, _ = _internal_values_jac(
+                qx[:, 0], qx[:, 1], qx[:, 2], lnb=flat_lnb, neg_lnb=-flat_lnb, jac=flat_jac
+            )
             for r in range(4):
                 want_vals, want_jac = _values_jac(q[r], b)
                 assert vals[r].tolist() == want_vals.tolist()
                 assert jac[r].tolist() == want_jac.tolist()
+                assert flat_vals[r * n:(r + 1) * n].tolist() == want_vals.tolist()
+                assert flat_jac[r * n:(r + 1) * n].tolist() == want_jac.tolist()
 
 
 class TestFitSingleCurve:
@@ -283,6 +296,19 @@ class TestFitConfig:
     def test_non_positive_counts_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             FitConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["max_epochs", "restarts"])
+    @pytest.mark.parametrize("value", [True, 2.5, np.int64(2), "3"])
+    def test_non_int_counts_rejected(self, field, value):
+        message = rf"^{field} must be an integer, got {re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=message):
+            FitConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -0.05, True, "0.05"])
+    def test_bad_learning_rate_rejected(self, value):
+        message = rf"^lr must be finite and > 0, got {re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=message):
+            FitConfig(lr=value)
 
     def test_single_epoch_single_restart_fits(self):
         result = fit_single_curve(

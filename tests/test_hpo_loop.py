@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -194,6 +195,16 @@ class TestRunSettings:
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
             RunSettings(seed=-1)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("seed", True), ("seed", 1.5), ("seed", np.int64(1)), ("budget_multiplier", 2.5),
+         ("budget_multiplier", False), ("total_step_budget", 7.5)],
+    )
+    def test_non_int_rejected(self, field, value):
+        message = rf"^{field} must be an integer, got {re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=message):
+            RunSettings(**{field: value})
 
     def test_smallest_valid_settings_accepted(self, tiny_table):
         settings = RunSettings(budget_multiplier=1)

@@ -511,6 +511,12 @@ class TestSnapshot:
         with pytest.raises(ValueError, match=message):
             ensemble_from_snapshot(doc)
 
+    @pytest.mark.parametrize("doc, kind", [(5, "int"), (None, "NoneType"), ([1], "list"),
+                                           ("x", "str")])
+    def test_document_not_an_object_rejected(self, doc, kind):
+        with pytest.raises(ValueError, match=rf"^snapshot: must be an object, got {kind}$"):
+            ensemble_from_snapshot(doc)
+
 
 class TestTrainerSchedule:
     def test_zero_epochs_and_thresholds_allowed(self):

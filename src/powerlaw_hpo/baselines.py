@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .benchmarks import BenchmarkTable
+from .benchmarks import BenchmarkTable, count
 from .hpo_loop import RunContext, RunSettings, Trajectory, seed_initial_design
 
 DEFAULT_ETA = 3
@@ -22,8 +22,7 @@ DEFAULT_ETA = 3
 
 def geometric_rungs(b_max: int, eta: int) -> tuple[int, ...]:
     """Budget ladder 1, eta, eta^2, ... capped/topped at b_max."""
-    if eta < 2:
-        raise ValueError("eta must be >= 2")
+    count(eta, "eta", floor=2)
     rungs = []
     b = 1
     while b < b_max:
@@ -82,8 +81,7 @@ def hyperband_brackets(b_max: int, eta: int = DEFAULT_ETA) -> list[tuple[int, tu
     s_max = floor(log_eta(b_max)); bracket s starts n_s =
     ceil((s_max+1)/(s+1) * eta^s) configs at budget b_max / eta^s.
     """
-    if eta < 2:
-        raise ValueError("eta must be >= 2")
+    count(eta, "eta", floor=2)
     s_max = int(math.floor(math.log(b_max, eta) + 1e-12))
     plan = []
     for s in range(s_max, -1, -1):

@@ -26,7 +26,49 @@ import numpy as np
 
 
 class BenchmarkFormatError(ValueError):
-    """Schema violation in a benchmark file, with a field-path diagnostic."""
+    """Input that breaks a rule (a benchmark file, a snapshot or an argument),
+    with a field-path diagnostic."""
+
+
+def require(cond: bool, path: str, msg: str):
+    if not cond:
+        raise BenchmarkFormatError(f"{path}: {msg}")
+
+
+def count(value, path: str, floor: int = 0) -> int:
+    """``value`` if it is an ``int`` >= ``floor``; bools, floats and numpy
+    integers fail."""
+    if type(value) is not int:
+        raise BenchmarkFormatError(f"{path}: must be an integer, got {value!r}")
+    if value < floor:
+        raise BenchmarkFormatError(f"{path}: must be >= {floor}, got {value}")
+    return value
+
+
+def number(v, path: str, note: str = "") -> float:
+    """A JSON number as a float; strings, null, bools (an int subclass) and
+    integers beyond the float range fail."""
+    require(type(v) is float or type(v) is int, path, f"must be a number, got {v!r}{note}")
+    try:
+        return float(v)
+    except OverflowError:
+        raise BenchmarkFormatError(f"{path}: integer too large for a float{note}") from None
+
+
+def numbers(
+    items: list, array: str, i: int, field: str = "", cid: int | None = None
+) -> list[float]:
+    """Each entry of ``{array}[{i}]{field}`` as a float, failing as ``number``
+    does; the path and the config-id note are built only on failure."""
+    try:
+        out = [float(v) for v in items if type(v) is float or type(v) is int]
+    except OverflowError:
+        out = []
+    if len(out) != len(items):
+        note = "" if cid is None else f" (config id {cid})"
+        for j, v in enumerate(items):
+            number(v, f"{array}[{i}]{field}[{j}]", note)
+    return out
 
 
 @dataclass(frozen=True)
@@ -87,71 +129,40 @@ def oracle(table: BenchmarkTable) -> float:
     return float(table.loss_curves.min())
 
 
-def _require(cond: bool, path: str, msg: str):
-    if not cond:
-        raise BenchmarkFormatError(f"{path}: {msg}")
-
-
-def _float(v, path: str, note: str = "") -> float:
-    """A JSON number as a float; strings, null, bools (an int subclass) and
-    integers beyond the float range fail."""
-    _require(type(v) is float or type(v) is int, path, f"must be a number, got {v!r}{note}")
-    try:
-        return float(v)
-    except OverflowError:
-        raise BenchmarkFormatError(f"{path}: integer too large for a float{note}") from None
-
-
-def _numbers(
-    items: list, array: str, i: int, field: str = "", cid: int | None = None
-) -> list[float]:
-    """Each entry of ``{array}[{i}]{field}`` as a float, failing as ``_float``
-    does; the path and the config-id note are built only on failure."""
-    try:
-        out = [float(v) for v in items if type(v) is float or type(v) is int]
-    except OverflowError:
-        out = []
-    if len(out) != len(items):
-        note = "" if cid is None else f" (config id {cid})"
-        for j, v in enumerate(items):
-            _float(v, f"{array}[{i}]{field}[{j}]", note)
-    return out
-
-
 def _as_table(doc: dict, source: str) -> BenchmarkTable:
-    _require(isinstance(doc, dict), source, "top level must be an object")
+    require(isinstance(doc, dict), source, "top level must be an object")
     for key in ("name", "metric", "b_max", "hyperparameters", "configs"):
-        _require(key in doc, source, f"missing required key '{key}'")
-    _require(isinstance(doc["name"], str), "name", "must be a string")
+        require(key in doc, source, f"missing required key '{key}'")
+    require(isinstance(doc["name"], str), "name", "must be a string")
     metric = doc["metric"]
-    _require(metric in ("loss", "accuracy"), "metric", f"must be 'loss' or 'accuracy', got {metric!r}")
+    require(metric in ("loss", "accuracy"), "metric", f"must be 'loss' or 'accuracy', got {metric!r}")
     b_max = doc["b_max"]
-    _require(type(b_max) is int and b_max >= 1, "b_max", "must be a positive integer")
+    require(type(b_max) is int and b_max >= 1, "b_max", "must be a positive integer")
 
     hps = doc["hyperparameters"]
-    _require(isinstance(hps, list) and hps, "hyperparameters", "must be a non-empty array")
+    require(isinstance(hps, list) and hps, "hyperparameters", "must be a non-empty array")
     names, bounds = [], []
     for i, hp in enumerate(hps):
         path = f"hyperparameters[{i}]"
-        _require(isinstance(hp, dict), path, "must be an object")
+        require(isinstance(hp, dict), path, "must be an object")
         for key in ("name", "min", "max"):
-            _require(key in hp, path, f"missing '{key}'")
-        _require(isinstance(hp["name"], str), f"{path}.name", "must be a string")
+            require(key in hp, path, f"missing '{key}'")
+        require(isinstance(hp["name"], str), f"{path}.name", "must be a string")
         lo, hi = hp["min"], hp["max"]
-        _require(
+        require(
             type(lo) in (int, float) and type(hi) in (int, float) and lo <= hi,
             path, f"bounds must be numbers with min <= max, got ({lo!r}, {hi!r})",
         )
-        lo, hi = _float(lo, f"{path}.min"), _float(hi, f"{path}.max")
+        lo, hi = number(lo, f"{path}.min"), number(hi, f"{path}.max")
         # scaling divides by the span, so an infinite bound or an
         # overflowing span would turn every scaled value into NaN or 0.0
-        _require(math.isfinite(hi - lo), path,
+        require(math.isfinite(hi - lo), path,
                  f"bounds and max - min must be finite, got ({lo!r}, {hi!r})")
         names.append(hp["name"])
         bounds.append((lo, hi))
 
     configs = doc["configs"]
-    _require(isinstance(configs, list) and configs, "configs", "must be a non-empty array")
+    require(isinstance(configs, list) and configs, "configs", "must be a non-empty array")
     # the checks below run once per config, so each formats its message
     # only when it fails
     ids, values, curves = [], [], []
@@ -171,7 +182,7 @@ def _as_table(doc: dict, source: str) -> BenchmarkTable:
         vals = cfg["values"]
         if not (isinstance(vals, list) and len(vals) == len(names)):
             raise BenchmarkFormatError(f"configs[{i}].values: must have {len(names)} entries")
-        vals = _numbers(vals, "configs", i, ".values")
+        vals = numbers(vals, "configs", i, ".values")
         for j, (v, (lo, hi)) in enumerate(zip(vals, bounds)):
             if not lo <= v <= hi:
                 raise BenchmarkFormatError(
@@ -184,7 +195,7 @@ def _as_table(doc: dict, source: str) -> BenchmarkTable:
             raise BenchmarkFormatError(
                 f"configs[{i}].curve: expected length b_max={b_max}, got {got} (config id {cid})"
             )
-        curve = _numbers(curve, "configs", i, ".curve", cid)
+        curve = numbers(curve, "configs", i, ".curve", cid)
         if not all(map(math.isfinite, curve)):
             raise BenchmarkFormatError(f"configs[{i}].curve: non-finite value (config id {cid})")
         ids.append(cid)
@@ -194,9 +205,9 @@ def _as_table(doc: dict, source: str) -> BenchmarkTable:
     gen = None
     if "generator" in doc:
         path = "generator.coefficients"
-        _require(isinstance(doc["generator"], dict), "generator", "must be an object")
+        require(isinstance(doc["generator"], dict), "generator", "must be an object")
         coeffs = doc["generator"].get("coefficients")
-        _require(
+        require(
             isinstance(coeffs, list) and len(coeffs) == len(ids),
             path, "must list one [alpha, beta, gamma] per config",
         )
@@ -204,7 +215,7 @@ def _as_table(doc: dict, source: str) -> BenchmarkTable:
         for i, row in enumerate(coeffs):
             if not (isinstance(row, list) and len(row) == 3):
                 raise BenchmarkFormatError(f"{path}[{i}]: must be [alpha, beta, gamma]")
-            rows.append(_numbers(row, path, i))
+            rows.append(numbers(row, path, i))
         gen = np.asarray(rows, dtype=float)
 
     raw_values = np.asarray(values, dtype=float)
@@ -299,16 +310,16 @@ def generate_synthetic(
     Hyperparameter vectors are uniform in [0,1]^hp_dim and map smoothly to
     (alpha, beta, gamma); curves are alpha + beta * step^(-gamma) over raw
     steps 1..b_max, plus optional Gaussian noise clipped into (0, 1.5).
+    The counts must be ``int``s (``seed`` >= 0, the others >= 1) and
+    ``noise_std`` finite and >= 0, or BenchmarkFormatError names the field.
     """
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    if n_configs < 1:
-        raise ValueError("n_configs must be >= 1")
-    if hp_dim < 1 or b_max < 1:
-        raise ValueError("hp_dim and b_max must be >= 1")
-    if not 0.0 <= noise_std < math.inf:
-        raise ValueError(f"noise_std must be a finite number >= 0, got {noise_std}")
-    rng = np.random.default_rng([int(seed), 0xBE7C])
+    count(seed, "seed")
+    count(n_configs, "n_configs", floor=1)
+    count(hp_dim, "hp_dim", floor=1)
+    count(b_max, "b_max", floor=1)
+    require(0.0 <= noise_std < math.inf, "noise_std",
+            f"must be a finite number >= 0, got {noise_std}")
+    rng = np.random.default_rng([seed, 0xBE7C])
     x = rng.uniform(0.0, 1.0, size=(n_configs, hp_dim))
     ranges = (SYNTH_ALPHA_RANGE, SYNTH_BETA_RANGE, SYNTH_GAMMA_RANGE)
     coeffs = np.empty((n_configs, 3))
@@ -324,7 +335,7 @@ def generate_synthetic(
     doc = {
         "name": f"synthetic-s{seed}-n{n_configs}-d{hp_dim}-b{b_max}",
         "metric": "loss",
-        "b_max": int(b_max),
+        "b_max": b_max,
         "hyperparameters": [
             {"name": f"x{j}", "min": 0.0, "max": 1.0} for j in range(hp_dim)
         ],

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .benchmarks import count, require
 from .neural_core import ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON
 
 
@@ -125,8 +126,9 @@ class FitConfig:
     extremes, decay rate from a two-point ratio), jittered after the first
     attempt, and runs Adam with a cosine-decayed learning rate; the best
     coefficients by training MAE win.  Deterministic for a given seed.
-    ``lr`` must be a finite number > 0, and ``max_epochs`` and
-    ``restarts`` ``int``s >= 1 (a bool, a float or a numpy integer fails).
+    ``lr`` must be a finite number > 0, ``max_epochs`` and ``restarts``
+    ``int``s >= 1, and ``seed`` an ``int`` >= 0 or a tuple of them (a bool,
+    a float or a numpy integer fails); BenchmarkFormatError names the field.
     """
 
     lr: float = 0.05
@@ -136,14 +138,15 @@ class FitConfig:
 
     def __post_init__(self):
         lr = self.lr
-        if isinstance(lr, bool) or not isinstance(lr, (int, float)) or not 0.0 < lr < math.inf:
-            raise ValueError(f"lr must be finite and > 0, got {lr!r}")
-        for name in ("max_epochs", "restarts"):
-            value = getattr(self, name)
-            if type(value) is not int:
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
+        require(not isinstance(lr, bool) and isinstance(lr, (int, float)) and 0.0 < lr < math.inf,
+                "lr", f"must be finite and > 0, got {lr!r}")
+        count(self.max_epochs, "max_epochs", floor=1)
+        count(self.restarts, "restarts", floor=1)
+        if isinstance(self.seed, tuple):
+            for i, s in enumerate(self.seed):
+                count(s, f"seed[{i}]")
+        else:
+            count(self.seed, "seed")
 
 
 @dataclass(frozen=True)

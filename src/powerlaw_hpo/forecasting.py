@@ -9,7 +9,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .benchmarks import BenchmarkFormatError, BenchmarkTable
+from .benchmarks import BenchmarkFormatError, BenchmarkTable, count
 from .curve_models import FitConfig, eval_power_law, fit_single_curve
 from .surrogate import (
     ConditionedNetwork,
@@ -97,8 +97,7 @@ def run_forecast_experiment(
     """
     if not 0.0 < observed_fraction < 1.0:
         raise ValueError(f"observed_fraction must be in (0, 1), got {observed_fraction}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    count(seed, "seed")
     if table.n_configs < 2:
         raise BenchmarkFormatError(
             f"configs: forecasting ranks configurations and needs at least 2, got {table.n_configs}"

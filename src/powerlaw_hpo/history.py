@@ -1,4 +1,4 @@
-"""Observation history shared by the HPO loop, acquisition and baselines."""
+"""Observation history shared by the HPO loop and the baselines."""
 
 from __future__ import annotations
 

@@ -18,6 +18,7 @@ from .acquisition import Candidate
 from .benchmarks import (
     BenchmarkFormatError,
     BenchmarkTable,
+    count,
     evaluate,
     oracle,
 )
@@ -52,15 +53,10 @@ class RunSettings:
     budget_multiplier: int = 20
 
     def __post_init__(self):
-        counts = [("seed", 0), ("budget_multiplier", 1)]
+        count(self.seed, "seed")
+        count(self.budget_multiplier, "budget_multiplier", floor=1)
         if self.total_step_budget is not None:
-            counts.append(("total_step_budget", 1))
-        for name, floor in counts:
-            value = getattr(self, name)
-            if type(value) is not int:
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < floor:
-                raise ValueError(f"{name} must be >= {floor}, got {value}")
+            count(self.total_step_budget, "total_step_budget", floor=1)
 
     def resolve_budget(self, table: BenchmarkTable) -> int:
         if self.total_step_budget is not None:
@@ -205,7 +201,6 @@ def _training_data(ctx: RunContext) -> TrainingData:
 def run_dpl(
     table: BenchmarkTable,
     settings: RunSettings,
-    make_ensemble=None,
     schedule: TrainerSchedule | None = None,
 ) -> Trajectory:
     """Run the power-law-surrogate HPO loop until the step budget is spent.
@@ -215,12 +210,6 @@ def run_dpl(
     otherwise), pick the candidate maximizing Expected Improvement at full
     budget, advance it by one budget step, and record the observation.
     Fully deterministic for a given seed.
-
-    ``make_ensemble`` exists for tests that substitute a surrogate double;
-    it receives (hp_dim, seed) and must provide ``fit_initial(data,
-    schedule)``, ``refine(data, schedule)`` (which oversamples the last row
-    of ``data``, the newest observation), ``restart(data, schedule)`` and
-    ``posterior_batch(configs, b_norm)``.
     """
     ctx = RunContext(table, settings, method="dpl")
     if schedule is None:
@@ -228,8 +217,7 @@ def run_dpl(
     rng = np.random.default_rng([settings.seed, 0])
     seed_initial_design(ctx, rng, budget=1)  # one config for one step
 
-    factory = make_ensemble or (lambda hp_dim, seed: DplEnsemble(hp_dim=hp_dim, seed=seed))
-    ensemble = factory(table.hp_dim, settings.seed)
+    ensemble = DplEnsemble(hp_dim=table.hp_dim, seed=settings.seed)
 
     iteration = 0
     restart_pending = False

@@ -12,6 +12,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .benchmarks import BenchmarkFormatError, count, numbers, require
 from .neural_core import (
     AdamState,
     DenseNetwork,
@@ -27,15 +28,6 @@ HIDDEN_WIDTH = 128
 N_HIDDEN_LAYERS = 2
 RAW_HEAD_WIDTH = 5  # alpha, (beta, beta-gate), (gamma, gamma-gate)
 DEFAULT_ENSEMBLE_SIZE = 5
-
-
-def _count(value, name: str, floor: int = 0) -> int:
-    """``value`` if it is an ``int`` >= ``floor``; bools and numpy integers fail."""
-    if type(value) is not int:
-        raise ValueError(f"{name}: must be an integer, got {value!r}")
-    if value < floor:
-        raise ValueError(f"{name}: must be >= {floor}, got {value}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -57,7 +49,7 @@ class TrainerSchedule:
 
     def __post_init__(self):
         for f in fields(self):
-            _count(getattr(self, f.name), f.name, floor=1 if f.name == "batch_size" else 0)
+            count(getattr(self, f.name), f.name, floor=1 if f.name == "batch_size" else 0)
 
     @classmethod
     def for_curve_length(cls, lc_length: int, **kwargs) -> "TrainerSchedule":
@@ -289,10 +281,10 @@ class DplEnsemble:
         n_members: int = DEFAULT_ENSEMBLE_SIZE,
         hidden_width: int = HIDDEN_WIDTH,
     ):
-        self.hp_dim = _count(hp_dim, "hp_dim", floor=1)
-        self.seed = _count(seed, "seed")
-        self.n_members = _count(n_members, "n_members", floor=1)
-        self.hidden_width = _count(hidden_width, "hidden_width", floor=1)
+        self.hp_dim = count(hp_dim, "hp_dim", floor=1)
+        self.seed = count(seed, "seed")
+        self.n_members = count(n_members, "n_members", floor=1)
+        self.hidden_width = count(hidden_width, "hidden_width", floor=1)
         self.init_round = 0
         self.fit_round = 0
         self.members = [
@@ -390,83 +382,73 @@ def ensemble_snapshot(ensemble: DplEnsemble) -> dict:
 
 
 def _snapshot_field(doc: dict, key: str, path: str = ""):
-    if key not in doc:
-        raise ValueError(f"{path}{key}: missing")
+    require(key in doc, f"{path}{key}", "missing")
     return doc[key]
 
 
 def _snapshot_node(doc: dict, key: str, kind: type, path: str = ""):
     """``doc[key]``, which must be a JSON array (``kind`` list) or object (``kind`` dict)."""
     value = _snapshot_field(doc, key, path)
-    if not isinstance(value, kind):
-        raise ValueError(f"{path}{key}: must be {'a list' if kind is list else 'an object'}")
+    require(isinstance(value, kind), f"{path}{key}",
+            f"must be {'a list' if kind is list else 'an object'}")
     return value
 
 
 def _reject_unknown(doc: dict, known, path: str = "") -> None:
-    unknown = sorted(set(doc) - set(known))
-    if unknown:
-        raise ValueError(f"{path}{unknown[0]}: unknown field")
+    unknown = set(doc) - set(known)
+    require(not unknown, f"{path}{min(unknown, default='')}", "unknown field")
 
 
-def _snapshot_vector(doc: dict, key: str, size: int, path: str) -> np.ndarray:
-    values = _snapshot_node(doc, key, list, path)
-    for i, v in enumerate(values):
-        if type(v) is not float and type(v) is not int:
-            raise ValueError(f"{path}{key}[{i}]: must be a number, got {v!r}")
-    try:
-        vec = np.asarray(values, dtype=float)
-    except OverflowError:  # an integer beyond the float range
-        raise ValueError(f"{path}{key}: non-finite value") from None
-    if vec.shape != (size,):
-        raise ValueError(f"{path}{key}: expected {size} values, got shape {vec.shape}")
-    if not np.all(np.isfinite(vec)):
-        raise ValueError(f"{path}{key}: non-finite value")
+def _snapshot_vector(doc: dict, key: str, size: int, k: int, field: str = "") -> np.ndarray:
+    """``members[k].{field}{key}``: a list of ``size`` finite JSON numbers."""
+    prefix = f"members[{k}].{field}"
+    values = _snapshot_node(doc, key, list, prefix)
+    vec = np.asarray(numbers(values, "members", k, f".{field}{key}"))
+    require(vec.shape == (size,), prefix + key, f"expected {size} values, got shape {vec.shape}")
+    require(np.all(np.isfinite(vec)), prefix + key, "non-finite value")
     return vec
 
 
 def ensemble_from_snapshot(doc: dict) -> DplEnsemble:
     """Rebuild an ensemble from a snapshot document.
 
-    Raises ValueError naming the field (``snapshot`` for the document
-    itself, ``fit_round``, ``members[k].adam.<key>``,
-    ``members[k].params[i]``) when a field is missing or unknown, has the
-    wrong JSON type (the document, each member and its ``adam`` are
-    objects, ``members`` is a list, each vector a list of numbers),
-    does not fit the ensemble, holds a non-finite value, or is a count that
-    is not an integer or is below its floor (0 for the round counters and
-    ``step_count``).  ``DplEnsemble`` itself checks the four shape fields.
-    Documents of another version, or whose version is not the int 4, are
-    rejected.
+    Raises BenchmarkFormatError, a ValueError, naming the field
+    (``snapshot`` for the document itself, ``fit_round``,
+    ``members[k].adam.<key>``, ``members[k].params[i]``) when a field is
+    missing or unknown, has the wrong JSON type (the document, each member
+    and its ``adam`` are objects, ``members`` is a list, each vector a list
+    of numbers), does not fit the ensemble, holds a non-finite value or an
+    integer too large for a float, or is a count that is not an integer or
+    is below its floor (0 for the round counters and ``step_count``).
+    ``DplEnsemble`` itself checks the four shape fields.  Documents of
+    another version, or whose version is not the int 4, are rejected.
     """
-    if not isinstance(doc, dict):
-        raise ValueError(f"snapshot: must be an object, got {type(doc).__name__}")
+    require(isinstance(doc, dict), "snapshot", f"must be an object, got {type(doc).__name__}")
     version = _snapshot_field(doc, "version")
     if type(version) is not int or version != SNAPSHOT_VERSION:
-        raise ValueError(f"unsupported snapshot version {version!r}")
+        raise BenchmarkFormatError(f"unsupported snapshot version {version!r}")
     shape = ("hp_dim", "seed", "n_members", "hidden_width")
     counters = ("init_round", "fit_round")
     _reject_unknown(doc, ("version", "members", *shape, *counters))
     ens = DplEnsemble(**{key: _snapshot_field(doc, key) for key in shape})
     for key in counters:
-        setattr(ens, key, _count(_snapshot_field(doc, key), key))
+        setattr(ens, key, count(_snapshot_field(doc, key), key))
     mdocs = _snapshot_node(doc, "members", list)
-    if len(mdocs) != ens.n_members:
-        raise ValueError(f"members: expected {ens.n_members} entries, got {len(mdocs)}")
+    require(len(mdocs) == ens.n_members, "members",
+            f"expected {ens.n_members} entries, got {len(mdocs)}")
     for k, (member, mdoc) in enumerate(zip(ens.members, mdocs)):
-        if not isinstance(mdoc, dict):
-            raise ValueError(f"members[{k}]: must be an object")
+        require(isinstance(mdoc, dict), f"members[{k}]", "must be an object")
         path = f"members[{k}]."
         _reject_unknown(mdoc, ("params", "adam"), path)
         flat = member.body.flat_params
-        flat[...] = _snapshot_vector(mdoc, "params", flat.size, path)
+        flat[...] = _snapshot_vector(mdoc, "params", flat.size, k)
         adam = _snapshot_node(mdoc, "adam", dict, path)
         path += "adam."
         _reject_unknown(adam, ("first_moment", "second_moment", "step_count"), path)
         moments = {
-            name: _snapshot_vector(adam, name, flat.size, path)
+            name: _snapshot_vector(adam, name, flat.size, k, "adam.")
             for name in ("first_moment", "second_moment")
         }
-        step_count = _count(_snapshot_field(adam, "step_count", path), f"{path}step_count")
+        step_count = count(_snapshot_field(adam, "step_count", path), f"{path}step_count")
         member.adam = AdamState(**moments, step_count=step_count)
     return ens

@@ -12,7 +12,7 @@ from powerlaw_hpo.baselines import (
     run_successive_halving,
     successive_halving_bracket,
 )
-from powerlaw_hpo.benchmarks import generate_synthetic, load_benchmark
+from powerlaw_hpo.benchmarks import BenchmarkFormatError, generate_synthetic, load_benchmark
 from powerlaw_hpo.hpo_loop import RunContext, RunSettings
 
 
@@ -259,3 +259,16 @@ class TestSharedInvariants:
             steps = [p.steps_consumed for p in traj.points]
             assert all(a < b for a, b in zip(steps, steps[1:]))
             assert steps[-1] <= 12 * table.b_max
+
+    @pytest.mark.parametrize("runner", [run_successive_halving, run_hyperband, run_asha])
+    @pytest.mark.parametrize(
+        "eta, message",
+        [(2.5, "must be an integer, got 2.5"), (3.0, "must be an integer, got 3.0"),
+         (True, "must be an integer, got True"), (1, "must be >= 2, got 1")],
+    )
+    def test_eta_must_be_an_int_of_at_least_two(self, runner, eta, message):
+        # checked before any rung is built: a float eta would fail in the rung
+        # slicing, with numpy's TypeError
+        with pytest.raises(BenchmarkFormatError) as info:
+            runner(_table(), RunSettings(seed=0, budget_multiplier=2), eta=eta)
+        assert str(info.value) == f"eta: {message}"

@@ -1,17 +1,35 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
+from powerlaw_hpo.baselines import (
+    geometric_rungs,
+    hyperband_brackets,
+    run_asha,
+    run_hyperband,
+    run_successive_halving,
+)
 from powerlaw_hpo.benchmarks import (
     BenchmarkFormatError,
+    count,
     evaluate,
     generate_synthetic,
     load_benchmark,
     oracle,
     save_benchmark,
     table_to_document,
+)
+from powerlaw_hpo.curve_models import FitConfig
+from powerlaw_hpo.forecasting import ForecastModel, run_forecast_experiment
+from powerlaw_hpo.hpo_loop import RunSettings
+from powerlaw_hpo.surrogate import (
+    DplEnsemble,
+    TrainerSchedule,
+    ensemble_from_snapshot,
+    ensemble_snapshot,
 )
 
 
@@ -400,11 +418,11 @@ class TestGenerateSynthetic:
         with pytest.raises(ValueError):
             generate_synthetic(seed=0, n_configs=0)
         for noise in (math.nan, math.inf, -0.1):
-            with pytest.raises(ValueError, match=r"^noise_std must be a finite number >= 0"):
+            with pytest.raises(ValueError, match=r"^noise_std: must be a finite number >= 0"):
                 generate_synthetic(seed=0, noise_std=noise)
 
     def test_negative_seed_rejected(self):
-        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        with pytest.raises(ValueError, match=r"^seed: must be >= 0, got -1$"):
             generate_synthetic(seed=-1)
 
     def test_tables_are_immutable(self, tiny_table):
@@ -412,3 +430,128 @@ class TestGenerateSynthetic:
             tiny_table.loss_curves[0, 0] = 123.0
         with pytest.raises(ValueError):
             tiny_table.scaled_values[0, 0] = 123.0
+
+
+def _snapshot(edit=None):
+    doc = ensemble_snapshot(DplEnsemble(hp_dim=2, seed=0, n_members=2, hidden_width=4))
+    if edit is not None:
+        edit(doc)
+    return doc
+
+
+def _set(keys, value):
+    """An edit that sets ``doc[keys[0]]...[keys[-1]]`` to ``value``."""
+    def edit(doc):
+        for key in keys[:-1]:
+            doc = doc[key]
+        doc[keys[-1]] = value
+    return edit
+
+
+_COUNT_TABLE = generate_synthetic(seed=0, n_configs=4, hp_dim=2, b_max=5)
+_SETTINGS = RunSettings(seed=0, total_step_budget=10)
+
+# every count a caller or a document hands to the package: (field path,
+# floor, a call that passes the value to that entry point)
+COUNT_CHECKS = {
+    "RunSettings.seed": ("seed", 0, lambda v: RunSettings(seed=v)),
+    "RunSettings.budget_multiplier":
+        ("budget_multiplier", 1, lambda v: RunSettings(budget_multiplier=v)),
+    "RunSettings.total_step_budget":
+        ("total_step_budget", 1, lambda v: RunSettings(total_step_budget=v)),
+    "FitConfig.max_epochs": ("max_epochs", 1, lambda v: FitConfig(max_epochs=v)),
+    "FitConfig.restarts": ("restarts", 1, lambda v: FitConfig(restarts=v)),
+    "FitConfig.seed": ("seed", 0, lambda v: FitConfig(seed=v)),
+    "FitConfig.seed-tuple": ("seed[1]", 0, lambda v: FitConfig(seed=(0, v))),
+    **{
+        f"TrainerSchedule.{field.name}": (
+            field.name, 1 if field.name == "batch_size" else 0,
+            lambda v, key=field.name: TrainerSchedule(**{key: v}),
+        )
+        for field in dataclasses.fields(TrainerSchedule)
+    },
+    **{
+        f"DplEnsemble.{key}": (
+            key, 0 if key == "seed" else 1,
+            lambda v, key=key: DplEnsemble(**{"hp_dim": 2, "seed": 0, key: v}),
+        )
+        for key in ("hp_dim", "seed", "n_members", "hidden_width")
+    },
+    **{
+        f"snapshot.{key}": (
+            key, 0, lambda v, key=key: ensemble_from_snapshot(_snapshot(_set([key], v))),
+        )
+        for key in ("init_round", "fit_round")
+    },
+    "snapshot.step_count": (
+        "members[1].adam.step_count", 0,
+        lambda v: ensemble_from_snapshot(_snapshot(_set(["members", 1, "adam", "step_count"], v))),
+    ),
+    "generate_synthetic.seed": ("seed", 0, lambda v: generate_synthetic(seed=v)),
+    "generate_synthetic.n_configs":
+        ("n_configs", 1, lambda v: generate_synthetic(seed=0, n_configs=v)),
+    "generate_synthetic.hp_dim": ("hp_dim", 1, lambda v: generate_synthetic(seed=0, hp_dim=v)),
+    "generate_synthetic.b_max": ("b_max", 1, lambda v: generate_synthetic(seed=0, b_max=v)),
+    **{
+        f"run_forecast_experiment.seed-{model.value}": (
+            "seed", 0,
+            lambda v, model=model: run_forecast_experiment(_COUNT_TABLE, 0.5, model, seed=v),
+        )
+        for model in ForecastModel
+    },
+    "geometric_rungs.eta": ("eta", 2, lambda v: geometric_rungs(9, v)),
+    "hyperband_brackets.eta": ("eta", 2, lambda v: hyperband_brackets(9, v)),
+    **{
+        f"{run.__name__}.eta": ("eta", 2, lambda v, run=run: run(_COUNT_TABLE, _SETTINGS, eta=v))
+        for run in (run_successive_halving, run_hyperband, run_asha)
+    },
+}
+
+
+class TestCount:
+    def test_returns_the_value(self):
+        assert count(0, "x") == 0
+        assert count(2, "eta", floor=2) == 2
+
+    @pytest.mark.parametrize("entry", list(COUNT_CHECKS))
+    @pytest.mark.parametrize("kind", ["bool", "float", "numpy", "below-floor"])
+    def test_every_entry_point_shares_the_rule(self, entry, kind):
+        path, floor, call = COUNT_CHECKS[entry]
+        value = {"bool": True, "float": 1.5, "numpy": np.int64(1), "below-floor": floor - 1}[kind]
+        if kind == "below-floor":
+            expected = f"{path}: must be >= {floor}, got {value}"
+        else:
+            expected = f"{path}: must be an integer, got {value!r}"
+        with pytest.raises(BenchmarkFormatError) as info:
+            call(value)
+        assert str(info.value) == expected
+
+
+class TestSnapshotErrors:
+    # one case per rule of the document reader; each is a BenchmarkFormatError,
+    # which the CLI maps to the data-error exit, like a bad benchmark file
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: doc.pop("fit_round"), "fit_round: missing"),
+            (_set(["trainer"], {}), "trainer: unknown field"),
+            (_set(["members", 0, "adam", "lr"], 0.1), "members[0].adam.lr: unknown field"),
+            (_set(["members"], 5), "members: must be a list"),
+            (_set(["members", 1, "params", 3], "1"),
+             "members[1].params[3]: must be a number, got '1'"),
+            (_set(["members", 1, "params", 0], 10**400),
+             "members[1].params[0]: integer too large for a float"),
+            (_set(["members", 0, "adam", "second_moment", 2], 10**400),
+             "members[0].adam.second_moment[2]: integer too large for a float"),
+        ],
+        ids=["missing", "unknown", "unknown-adam", "wrong-type", "wrong-entry-type", "overflow",
+             "overflow-adam"],
+    )
+    def test_rule_raises_format_error(self, edit, message):
+        with pytest.raises(BenchmarkFormatError) as info:
+            ensemble_from_snapshot(_snapshot(edit))
+        assert str(info.value) == message
+
+    def test_document_not_an_object(self):
+        with pytest.raises(BenchmarkFormatError, match=r"^snapshot: must be an object, got int$"):
+            ensemble_from_snapshot(5)

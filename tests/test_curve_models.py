@@ -300,13 +300,13 @@ class TestFitConfig:
     @pytest.mark.parametrize("field", ["max_epochs", "restarts"])
     @pytest.mark.parametrize("value", [True, 2.5, np.int64(2), "3"])
     def test_non_int_counts_rejected(self, field, value):
-        message = rf"^{field} must be an integer, got {re.escape(repr(value))}$"
+        message = rf"^{field}: must be an integer, got {re.escape(repr(value))}$"
         with pytest.raises(ValueError, match=message):
             FitConfig(**{field: value})
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -0.05, True, "0.05"])
     def test_bad_learning_rate_rejected(self, value):
-        message = rf"^lr must be finite and > 0, got {re.escape(repr(value))}$"
+        message = rf"^lr: must be finite and > 0, got {re.escape(repr(value))}$"
         with pytest.raises(ValueError, match=message):
             FitConfig(lr=value)
 

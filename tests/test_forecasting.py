@@ -105,7 +105,7 @@ class TestForecastExperiment:
 
     @pytest.mark.parametrize("model", list(ForecastModel))
     def test_negative_seed_rejected(self, noiseless_table, model):
-        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        with pytest.raises(ValueError, match=r"^seed: must be >= 0, got -1$"):
             run_forecast_experiment(noiseless_table, 0.5, model, seed=-1)
 
     def test_deterministic(self, noiseless_table):

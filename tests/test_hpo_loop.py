@@ -1,11 +1,13 @@
 import dataclasses
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from powerlaw_hpo import hpo_loop
 from powerlaw_hpo.baselines import BASELINE_RUNNERS
 from powerlaw_hpo.benchmarks import evaluate, generate_synthetic, oracle
 from powerlaw_hpo.history import History, Observation
@@ -88,7 +90,8 @@ class TestRunDpl:
             return orig(ctx, cid, budget)
 
         monkeypatch.setattr(RunContext, "observe", spy)
-        run_dpl(tiny_table, settings, make_ensemble=lambda d, s: _OracleEnsemble(tiny_table))
+        monkeypatch.setattr(hpo_loop, "DplEnsemble", lambda **_: _OracleEnsemble(tiny_table))
+        run_dpl(tiny_table, settings)
         budgets_seen: dict[int, list[int]] = {}
         for cid, budget in observed:
             budgets_seen.setdefault(cid, []).append(budget)
@@ -111,8 +114,9 @@ class TestRunDpl:
                 return orig(ctx, cid, budget)
 
             monkeypatch.setattr(RunContext, "observe", spy)
+            monkeypatch.setattr(hpo_loop, "DplEnsemble", lambda **_: _OracleEnsemble(table))
             settings = RunSettings(seed=seed, total_step_budget=6)
-            run_dpl(table, settings, make_ensemble=lambda d, s: _OracleEnsemble(table))
+            run_dpl(table, settings)
             monkeypatch.undo()
             assert observed[1:], "loop must advance beyond the initial design"
             assert all(cid == best_id for cid in observed[1:])
@@ -193,7 +197,7 @@ class TestRunSettings:
             RunSettings(**{field: value})
 
     def test_negative_seed_rejected(self):
-        with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+        with pytest.raises(ValueError, match="^seed: must be >= 0, got -1$"):
             RunSettings(seed=-1)
 
     @pytest.mark.parametrize(
@@ -202,7 +206,7 @@ class TestRunSettings:
          ("budget_multiplier", False), ("total_step_budget", 7.5)],
     )
     def test_non_int_rejected(self, field, value):
-        message = rf"^{field} must be an integer, got {re.escape(repr(value))}$"
+        message = rf"^{field}: must be an integer, got {re.escape(repr(value))}$"
         with pytest.raises(ValueError, match=message):
             RunSettings(**{field: value})
 
@@ -236,15 +240,17 @@ TINY_SCHEDULE = TrainerSchedule.for_curve_length(
 )
 
 
+def _small_ensemble(hp_dim, seed):
+    return DplEnsemble(hp_dim, seed, n_members=2, hidden_width=8)
+
+
 def _run_method(method, table, run_settings):
     if method != "dpl":
         return BASELINE_RUNNERS[method](table, run_settings)
-    return run_dpl(
-        table,
-        run_settings,
-        make_ensemble=lambda hp_dim, seed: DplEnsemble(hp_dim, seed, n_members=2, hidden_width=8),
-        schedule=TINY_SCHEDULE,
-    )
+    # a patch, not monkeypatch: Hypothesis tests call this, and a
+    # function-scoped fixture there fails Hypothesis' health check
+    with mock.patch.object(hpo_loop, "DplEnsemble", _small_ensemble):
+        return run_dpl(table, run_settings, schedule=TINY_SCHEDULE)
 
 
 class TestSharedSchedule:

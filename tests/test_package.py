@@ -43,3 +43,16 @@ def test_readme_refactor_gate_lists_every_hooked_name():
     hooked = {key for _, key, _ in Tracer().replacements()}
     missing = sorted(k for k in hooked if not re.search(rf"`(\w+\.)*{re.escape(k)}`", gate))
     assert missing == []
+
+
+def test_input_rules_have_one_owner():
+    # the wording of the shared count and JSON-number checks lives in
+    # benchmarks.py; a module that spells it out again holds a second copy
+    package = ROOT / "src" / "powerlaw_hpo"
+    copies = sorted(
+        path.name
+        for path in package.glob("*.py")
+        if path.name != "benchmarks.py"
+        and re.search(r"must be an integer|must be a number", path.read_text(encoding="utf-8"))
+    )
+    assert copies == []

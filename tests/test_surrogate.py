@@ -491,7 +491,7 @@ class TestSnapshot:
             (lambda doc: doc["members"][1]["params"].__setitem__(3, True),
              "members[1].params[3]: must be a number, got True"),
             (lambda doc: doc["members"][1]["params"].__setitem__(0, 10**400),
-             "members[1].params: non-finite value"),
+             "members[1].params[0]: integer too large for a float"),
             (lambda doc: doc.update(version=4.0), "unsupported snapshot version 4.0"),
         ],
         ids=["members-int", "members-object", "member-int", "adam-int", "params-string",

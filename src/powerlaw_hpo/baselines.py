@@ -97,7 +97,7 @@ def _run_brackets(
     """Cycle through a bracket plan of (n_configs, rungs) until the budget is spent."""
     ctx = RunContext(table, settings, method=method)
     rng = np.random.default_rng([settings.seed, 1])
-    seed_initial_design(ctx, np.random.default_rng([settings.seed, 0]), budget=1)
+    seed_initial_design(ctx)
     pool = list(table.config_ids)
     alive = True
     while alive and ctx.remaining > 0:
@@ -137,7 +137,7 @@ def run_asha(table: BenchmarkTable, settings: RunSettings, eta: int = DEFAULT_ET
     """
     ctx = RunContext(table, settings, method="asha")
     rng = np.random.default_rng([settings.seed, 1])
-    seed_initial_design(ctx, np.random.default_rng([settings.seed, 0]), budget=1)
+    seed_initial_design(ctx)
     rungs = geometric_rungs(table.b_max, eta)
     completions: list[list[tuple[float, int]]] = [[] for _ in rungs]
     promoted: list[set[int]] = [set() for _ in rungs]

@@ -311,12 +311,14 @@ def generate_synthetic(
     (alpha, beta, gamma); curves are alpha + beta * step^(-gamma) over raw
     steps 1..b_max, plus optional Gaussian noise clipped into (0, 1.5).
     The counts must be ``int``s (``seed`` >= 0, the others >= 1) and
-    ``noise_std`` finite and >= 0, or BenchmarkFormatError names the field.
+    ``noise_std`` a finite number >= 0 (a bool or a numpy float fails), or
+    BenchmarkFormatError names the field.
     """
     count(seed, "seed")
     count(n_configs, "n_configs", floor=1)
     count(hp_dim, "hp_dim", floor=1)
     count(b_max, "b_max", floor=1)
+    number(noise_std, "noise_std")
     require(0.0 <= noise_std < math.inf, "noise_std",
             f"must be a finite number >= 0, got {noise_std}")
     rng = np.random.default_rng([seed, 0xBE7C])

@@ -271,9 +271,9 @@ def fit_single_curve(
     """Fit the power law to an observed curve prefix by Adam on the MAE.
 
     ``observed_values`` are the losses at steps 1..len(observed_values) of a
-    curve whose full length is ``max_budget``; budgets are normalized to
-    (0, 1] before fitting.  The power law models curves decaying toward
-    the asymptote (min-smooth diverging curves first).
+    curve whose full length is ``max_budget``, an ``int``; budgets are
+    normalized to (0, 1] before fitting.  The power law models curves
+    decaying toward the asymptote (min-smooth diverging curves first).
 
     The restarts run in lockstep.  Each epoch computes every restart's
     model values, loss and gradient in one set of numpy calls on flat
@@ -293,6 +293,7 @@ def fit_single_curve(
     y = np.asarray(observed_values, dtype=float)
     if y.ndim != 1 or y.size < 2:
         raise ValueError("need at least two observed points to fit")
+    count(max_budget, "max_budget", floor=1)
     if max_budget < y.size:
         raise ValueError(f"max_budget {max_budget} shorter than observations {y.size}")
     cfg = fit_config or FitConfig()

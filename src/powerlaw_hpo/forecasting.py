@@ -9,7 +9,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .benchmarks import BenchmarkFormatError, BenchmarkTable, count
+from .benchmarks import BenchmarkFormatError, BenchmarkTable, count, number, require
 from .curve_models import FitConfig, eval_power_law, fit_single_curve
 from .surrogate import (
     ConditionedNetwork,
@@ -90,13 +90,15 @@ def run_forecast_experiment(
     the conditioned NN) train once over all configs with the initial-fit
     epoch count; the per-curve power law fits each curve independently.
 
-    Tables with fewer than 2 configs (nothing to rank) or curves shorter
-    than 2 steps (nothing to fit) raise BenchmarkFormatError.  When all
-    predictions tie, or all true final losses tie, no ranking exists and
-    the report carries ``spearman = nan``.
+    ``observed_fraction`` takes a number in (0, 1) and ``seed`` an ``int``
+    >= 0.  Other values, tables with fewer than 2 configs (nothing to rank)
+    and curves shorter than 2 steps (nothing to fit) raise
+    BenchmarkFormatError.  When all predictions tie, or all true final
+    losses tie, no ranking exists and the report carries ``spearman = nan``.
     """
-    if not 0.0 < observed_fraction < 1.0:
-        raise ValueError(f"observed_fraction must be in (0, 1), got {observed_fraction}")
+    number(observed_fraction, "observed_fraction")
+    require(0.0 < observed_fraction < 1.0, "observed_fraction",
+            f"must be in (0, 1), got {observed_fraction}")
     count(seed, "seed")
     if table.n_configs < 2:
         raise BenchmarkFormatError(

@@ -8,8 +8,8 @@ integer steps.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -73,11 +73,21 @@ class TrajectoryPoint:
 
 @dataclass
 class Trajectory:
+    """A run's record: its points are derived from ``history``."""
+
     method: str
     dataset: str
     seed: int
     normalization_span: float
-    points: list[TrajectoryPoint] = field(default_factory=list)
+    history: History
+    oracle_loss: float
+
+    @property
+    def points(self) -> list[TrajectoryPoint]:
+        """One point per record: steps so far, the best loss so far and its regret."""
+        steps = accumulate(self.history.costs)
+        best = accumulate((obs.loss for obs in self.history), min)
+        return [TrajectoryPoint(s, b, b - self.oracle_loss) for s, b in zip(steps, best)]
 
     def to_rows(self) -> list[tuple]:
         return [
@@ -99,8 +109,7 @@ def incumbent_regret(history: History, table: BenchmarkTable) -> float:
     """Best observed loss at any budget minus the benchmark-wide oracle."""
     if len(history) == 0:
         raise ValueError("history is empty")
-    best = min(obs.loss for obs in history)
-    return best - oracle(table)
+    return history.best_loss - oracle(table)
 
 
 class RunContext:
@@ -110,12 +119,13 @@ class RunContext:
     steps beyond its previous high-water mark (its highest budget in the
     history), and a lookup at or below that mark is free (the curve prefix
     was already paid for).  No evaluation may exceed the total step budget.
+    The history holds the run's state; the step count and the trajectory
+    are read from it.
     """
 
     def __init__(self, table: BenchmarkTable, settings: RunSettings, method: str):
         self.table = table
         self.total_step_budget = settings.resolve_budget(table)
-        self.steps_consumed = 0
         self.history = History()
         best = table.loss_curves.min(axis=1)
         span = float(best.max() - best.min())
@@ -124,14 +134,18 @@ class RunContext:
                 f"benchmark {table.name!r} is degenerate: all configurations share "
                 "the same best loss, so regret cannot be normalized"
             )
-        self.oracle_loss = oracle(table)
         self.trajectory = Trajectory(
             method=method,
             dataset=table.name,
             seed=settings.seed,
             normalization_span=span if span > 0 else 1.0,
+            history=self.history,
+            oracle_loss=oracle(table),
         )
-        self.incumbent = math.inf  # lowest loss observed so far
+
+    @property
+    def steps_consumed(self) -> int:
+        return self.history.steps
 
     def cost_of(self, config_id: int, budget: int) -> int:
         return max(0, budget - self.history.max_budget_for(config_id))
@@ -159,16 +173,7 @@ class RunContext:
                 f"evaluation of config {config_id} at budget {budget} would exceed "
                 f"the step budget ({self.steps_consumed}+{cost}>{self.total_step_budget})"
             )
-        self.steps_consumed += cost
         self.history.append(Observation(config_id=config_id, budget=budget, loss=loss))
-        self.incumbent = min(self.incumbent, loss)
-        self.trajectory.points.append(
-            TrajectoryPoint(
-                steps_consumed=self.steps_consumed,
-                incumbent_loss=self.incumbent,
-                incumbent_regret=self.incumbent - self.oracle_loss,
-            )
-        )
         return loss
 
     def candidate_pool(self) -> list[Candidate]:
@@ -180,21 +185,19 @@ class RunContext:
         ]
 
 
-def seed_initial_design(ctx: RunContext, rng: np.random.Generator, budget: int) -> int:
-    """Evaluate one uniformly drawn configuration at the given budget."""
+def seed_initial_design(ctx: RunContext) -> int:
+    """Evaluate one configuration, drawn uniformly from the run's seed, for one step."""
+    rng = np.random.default_rng([ctx.trajectory.seed, 0])
     cid = int(ctx.table.config_ids[rng.integers(0, ctx.table.n_configs)])
-    ctx.observe(cid, budget)
+    ctx.observe(cid, 1)
     return cid
 
 
 def _training_data(ctx: RunContext) -> TrainingData:
-    rows = [
-        (ctx.table.scaled_values[ctx.table.index_of(o.config_id)], o.budget, o.loss)
-        for o in ctx.history
-    ]
-    configs = np.stack([r[0] for r in rows])
-    budgets = np.array([r[1] for r in rows], dtype=float) / float(ctx.table.b_max)
-    losses = np.array([r[2] for r in rows], dtype=float)
+    table = ctx.table
+    configs = table.scaled_values[[table.index_of(o.config_id) for o in ctx.history]]
+    budgets = np.array([o.budget for o in ctx.history], dtype=float) / float(table.b_max)
+    losses = np.array([o.loss for o in ctx.history], dtype=float)
     return TrainingData(configs=configs, budgets=budgets, losses=losses)
 
 
@@ -214,18 +217,18 @@ def run_dpl(
     ctx = RunContext(table, settings, method="dpl")
     if schedule is None:
         schedule = TrainerSchedule.for_curve_length(table.b_max)
-    rng = np.random.default_rng([settings.seed, 0])
-    seed_initial_design(ctx, rng, budget=1)  # one config for one step
+    seed_initial_design(ctx)
 
     ensemble = DplEnsemble(hp_dim=table.hp_dim, seed=settings.seed)
 
-    iteration = 0
     restart_pending = False
     stagnation = Stagnation(schedule.restart_threshold_iterations)
     while ctx.remaining > 0:
-        iteration += 1
         data = _training_data(ctx)
-        if iteration <= schedule.initial_phase_iterations:
+        # the history length is the iteration number: the initial design
+        # adds one record, and each iteration adds one more, since it
+        # advances a config below b_max by one step while steps remain
+        if len(ctx.history) <= schedule.initial_phase_iterations:
             fit_loss = ensemble.fit_initial(data, schedule)
         elif restart_pending:
             fit_loss = ensemble.restart(data, schedule)
@@ -238,6 +241,6 @@ def run_dpl(
         if not pool:
             break
         # one step: the pool holds only configs below b_max, and steps remain
-        selected = acquisition.select_next(pool, ensemble, ctx.incumbent)
+        selected = acquisition.select_next(pool, ensemble, ctx.history.best_loss)
         ctx.observe(selected.config_id, ctx.history.max_budget_for(selected.config_id) + 1)
     return ctx.trajectory

@@ -22,8 +22,9 @@ from powerlaw_hpo.benchmarks import (
     save_benchmark,
     table_to_document,
 )
-from powerlaw_hpo.curve_models import FitConfig
+from powerlaw_hpo.curve_models import FitConfig, fit_single_curve
 from powerlaw_hpo.forecasting import ForecastModel, run_forecast_experiment
+from powerlaw_hpo.history import History, Observation
 from powerlaw_hpo.hpo_loop import RunSettings
 from powerlaw_hpo.surrogate import (
     DplEnsemble,
@@ -421,6 +422,14 @@ class TestGenerateSynthetic:
             with pytest.raises(ValueError, match=r"^noise_std: must be a finite number >= 0"):
                 generate_synthetic(seed=0, noise_std=noise)
 
+    @pytest.mark.parametrize("noise", ["0.1", True, np.float64(0.1), None])
+    def test_noise_must_be_a_number(self, noise):
+        # a bool is not 1.0 and a numpy float is not a float, as counts reject
+        # bools and numpy integers
+        with pytest.raises(BenchmarkFormatError) as info:
+            generate_synthetic(seed=0, noise_std=noise)
+        assert str(info.value) == f"noise_std: must be a number, got {noise!r}"
+
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match=r"^seed: must be >= 0, got -1$"):
             generate_synthetic(seed=-1)
@@ -505,6 +514,9 @@ COUNT_CHECKS = {
         f"{run.__name__}.eta": ("eta", 2, lambda v, run=run: run(_COUNT_TABLE, _SETTINGS, eta=v))
         for run in (run_successive_halving, run_hyperband, run_asha)
     },
+    "fit_single_curve.max_budget":
+        ("max_budget", 1, lambda v: fit_single_curve([0.5, 0.4], max_budget=v)),
+    "History.append.budget": ("budget", 1, lambda v: History().append(Observation(1, v, 0.3))),
 }
 
 

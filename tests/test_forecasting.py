@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from powerlaw_hpo import forecasting
-from powerlaw_hpo.benchmarks import generate_synthetic
+from powerlaw_hpo.benchmarks import BenchmarkFormatError, generate_synthetic
 from powerlaw_hpo.forecasting import (
     ForecastModel,
     average_ranks,
@@ -102,6 +102,15 @@ class TestForecastExperiment:
         for bad in (0.0, 1.0, -0.5, 2.0):
             with pytest.raises(ValueError):
                 run_forecast_experiment(noiseless_table, bad, ForecastModel.DPL)
+        with pytest.raises(BenchmarkFormatError) as info:
+            run_forecast_experiment(noiseless_table, 1.5, ForecastModel.DPL)
+        assert str(info.value) == "observed_fraction: must be in (0, 1), got 1.5"
+
+    @pytest.mark.parametrize("fraction", ["0.5", True, np.float64(0.5), None])
+    def test_fraction_must_be_a_number(self, noiseless_table, fraction):
+        with pytest.raises(BenchmarkFormatError) as info:
+            run_forecast_experiment(noiseless_table, fraction, ForecastModel.PER_CURVE_POWER_LAW)
+        assert str(info.value) == f"observed_fraction: must be a number, got {fraction!r}"
 
     @pytest.mark.parametrize("model", list(ForecastModel))
     def test_negative_seed_rejected(self, noiseless_table, model):

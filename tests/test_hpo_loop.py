@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import re
 from unittest import mock
 
@@ -120,6 +121,50 @@ class TestRunDpl:
             monkeypatch.undo()
             assert observed[1:], "loop must advance beyond the initial design"
             assert all(cid == best_id for cid in observed[1:])
+
+
+class _PhaseRecorder(_OracleEnsemble):
+    """Oracle double that records each fit phase; every fit improves on the
+    last (no stagnation restart), except call ``inf_at``, which returns inf."""
+
+    def __init__(self, table, inf_at=None):
+        super().__init__(table)
+        self.phases = []
+        self.inf_at = inf_at
+
+    def _fit(self, phase):
+        self.phases.append(phase)
+        return math.inf if len(self.phases) == self.inf_at else 1.0 / len(self.phases)
+
+    def fit_initial(self, data, schedule):
+        return self._fit("fit_initial")
+
+    def refine(self, data, schedule):
+        return self._fit("refine")
+
+    def restart(self, data, schedule):
+        return self._fit("restart")
+
+
+class TestPhaseOrder:
+    """Which fit runs at which iteration: three initial fits (the schedule's
+    ``initial_phase_iterations``), then refinement, and one restart right
+    after a non-finite fit loss."""
+
+    def _phases(self, monkeypatch, inf_at=None):
+        table = generate_synthetic(seed=2, n_configs=5, hp_dim=2, b_max=4)
+        recorder = _PhaseRecorder(table, inf_at)
+        monkeypatch.setattr(hpo_loop, "DplEnsemble", lambda **_: recorder)
+        run_dpl(table, RunSettings(seed=0, total_step_budget=10), schedule=_fast_schedule(4))
+        return recorder.phases
+
+    def test_initial_fits_then_refine(self, monkeypatch):
+        assert self._phases(monkeypatch) == ["fit_initial"] * 3 + ["refine"] * 6
+
+    def test_non_finite_fit_loss_restarts_then_refines(self, monkeypatch):
+        assert self._phases(monkeypatch, inf_at=5) == (
+            ["fit_initial"] * 3 + ["refine", "refine", "restart"] + ["refine"] * 3
+        )
 
 
 class TestIncumbentRegret:
@@ -284,9 +329,33 @@ class TestLoopInvariants:
             seed=seed, n_configs=n_configs, hp_dim=hp_dim, b_max=b_max, noise_std=0.01
         )
         run_settings = RunSettings(seed=seed, budget_multiplier=multiplier)
-        traj = _run_method(method, table, run_settings)
+        contexts = []
+        init = RunContext.__init__
+
+        def recording_init(ctx, *args, **kwargs):
+            init(ctx, *args, **kwargs)
+            contexts.append(ctx)
+
+        with mock.patch.object(RunContext, "__init__", recording_init):
+            traj = _run_method(method, table, run_settings)
+        (ctx,) = contexts
         steps = [p.steps_consumed for p in traj.points]
         incumbents = [p.incumbent_loss for p in traj.points]
+        # the points are History's records, replayed here independently
+        records = list(traj.history)
+        assert traj.history is ctx.history and len(traj.points) == len(records)
+        paid: dict[int, int] = {}
+        total, best = 0, math.inf
+        replayed_steps, running_best = [], []
+        for obs in records:
+            total += obs.budget - paid.get(obs.config_id, 0)
+            paid[obs.config_id] = obs.budget
+            best = min(best, obs.loss)
+            replayed_steps.append(total)
+            running_best.append(best)
+        assert steps == replayed_steps
+        assert incumbents == running_best
+        assert ctx.steps_consumed == traj.history.steps == steps[-1]
         assert steps, "every method observes at least one configuration"
         assert steps[-1] <= run_settings.resolve_budget(table)
         assert all(a < b for a, b in zip(steps, steps[1:]))

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
@@ -35,9 +35,9 @@ def require(cond: bool, path: str, msg: str):
         raise BenchmarkFormatError(f"{path}: {msg}")
 
 
-def count(value, path: str, floor: int = 0) -> int:
-    """``value`` if it is an ``int`` >= ``floor``; bools, floats and numpy
-    integers fail."""
+def count(value, path: str, floor: float = 0) -> int:
+    """``value`` if it is an ``int`` >= ``floor`` (``-math.inf`` admits any
+    int); bools, floats and numpy integers fail."""
     if type(value) is not int:
         raise BenchmarkFormatError(f"{path}: must be an integer, got {value!r}")
     if value < floor:
@@ -56,9 +56,9 @@ def number(v, path: str, note: str = "") -> float:
 
 
 def numbers(
-    items: list, array: str, i: int, field: str = "", cid: int | None = None
+    items: list, array: str, i: int, suffix: str = "", cid: int | None = None
 ) -> list[float]:
-    """Each entry of ``{array}[{i}]{field}`` as a float, failing as ``number``
+    """Each entry of ``{array}[{i}]{suffix}`` as a float, failing as ``number``
     does; the path and the config-id note are built only on failure."""
     try:
         out = [float(v) for v in items if type(v) is float or type(v) is int]
@@ -67,8 +67,38 @@ def numbers(
     if len(out) != len(items):
         note = "" if cid is None else f" (config id {cid})"
         for j, v in enumerate(items):
-            number(v, f"{array}[{i}]{field}[{j}]", note)
+            number(v, f"{array}[{i}]{suffix}[{j}]", note)
     return out
+
+
+def finite(v, path: str) -> float:
+    """A JSON number, as ``number`` reads it, that is neither NaN nor infinite."""
+    v = number(v, path)
+    require(math.isfinite(v), path, f"must be finite, got {v}")
+    return v
+
+
+def node(value, kind: type, path: str):
+    """``value``, which must be a JSON array (``kind`` list) or object (``kind`` dict)."""
+    require(isinstance(value, kind), path, f"must be {'a list' if kind is list else 'an object'}")
+    return value
+
+
+def _at(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
+def field(doc: dict, key: str, path: str = "", kind: type | None = None):
+    """``doc[key]`` of the object at ``path`` (``<path>.<key>: missing`` if
+    absent), checked by ``node`` when ``kind`` is given."""
+    if key not in doc:
+        raise BenchmarkFormatError(f"{_at(path, key)}: missing")
+    return doc[key] if kind is None else node(doc[key], kind, _at(path, key))
+
+
+def reject_unknown(doc: dict, known, path: str = "") -> None:
+    unknown = set(doc) - set(known)
+    require(not unknown, _at(path, min(unknown, default="")), "unknown field")
 
 
 @dataclass(frozen=True)
@@ -76,8 +106,9 @@ class BenchmarkTable:
     """Immutable map from configuration to full learning curve.
 
     ``raw_curves`` keeps the file's values (in its declared metric
-    direction) so tables round-trip bit-exactly; ``loss_curves`` is the
-    minimization-oriented view used everywhere else.
+    direction) so tables round-trip bit-exactly; ``loss_curves``, the
+    minimization-oriented view used everywhere else, and ``scaled_values``
+    are derived from the other fields on construction.
     """
 
     name: str
@@ -88,11 +119,21 @@ class BenchmarkTable:
     config_ids: tuple[int, ...]
     raw_values: np.ndarray         # (n, hp_dim)
     raw_curves: np.ndarray         # (n, b_max), as stored in the file
-    loss_curves: np.ndarray        # (n, b_max)
-    scaled_values: np.ndarray      # (n, hp_dim), min-max scaled
     generator_coefficients: np.ndarray | None = None  # (n, 3) if synthetic
+    loss_curves: np.ndarray = dataclass_field(init=False)    # (n, b_max)
+    scaled_values: np.ndarray = dataclass_field(init=False)  # (n, hp_dim), min-max scaled
 
     def __post_init__(self):
+        raw = self.raw_curves
+        object.__setattr__(
+            self, "loss_curves", 1.0 - raw if self.metric_direction == "accuracy" else raw.copy()
+        )
+        # min-max scale by the declared bounds (not observed extrema); a
+        # degenerate dimension (min == max) maps to 0
+        lo, hi = np.array(self.bounds).T
+        scaled = np.zeros_like(self.raw_values)
+        np.divide(self.raw_values - lo, hi - lo, out=scaled, where=hi > lo)
+        object.__setattr__(self, "scaled_values", scaled)
         for arr in (self.raw_values, self.raw_curves, self.loss_curves, self.scaled_values):
             arr.setflags(write=False)
         if self.generator_coefficients is not None:
@@ -130,30 +171,22 @@ def oracle(table: BenchmarkTable) -> float:
 
 
 def _as_table(doc: dict, source: str) -> BenchmarkTable:
-    require(isinstance(doc, dict), source, "top level must be an object")
-    for key in ("name", "metric", "b_max", "hyperparameters", "configs"):
-        require(key in doc, source, f"missing required key '{key}'")
-    require(isinstance(doc["name"], str), "name", "must be a string")
-    metric = doc["metric"]
+    node(doc, dict, source)
+    require(isinstance(field(doc, "name"), str), "name", "must be a string")
+    metric = field(doc, "metric")
     require(metric in ("loss", "accuracy"), "metric", f"must be 'loss' or 'accuracy', got {metric!r}")
-    b_max = doc["b_max"]
-    require(type(b_max) is int and b_max >= 1, "b_max", "must be a positive integer")
+    b_max = count(field(doc, "b_max"), "b_max", floor=1)
 
-    hps = doc["hyperparameters"]
-    require(isinstance(hps, list) and hps, "hyperparameters", "must be a non-empty array")
+    hps = field(doc, "hyperparameters", kind=list)
+    require(hps, "hyperparameters", "must not be empty")
     names, bounds = [], []
     for i, hp in enumerate(hps):
         path = f"hyperparameters[{i}]"
-        require(isinstance(hp, dict), path, "must be an object")
-        for key in ("name", "min", "max"):
-            require(key in hp, path, f"missing '{key}'")
-        require(isinstance(hp["name"], str), f"{path}.name", "must be a string")
-        lo, hi = hp["min"], hp["max"]
-        require(
-            type(lo) in (int, float) and type(hi) in (int, float) and lo <= hi,
-            path, f"bounds must be numbers with min <= max, got ({lo!r}, {hi!r})",
-        )
-        lo, hi = number(lo, f"{path}.min"), number(hi, f"{path}.max")
+        node(hp, dict, path)
+        require(isinstance(field(hp, "name", path), str), f"{path}.name", "must be a string")
+        lo = number(field(hp, "min", path), f"{path}.min")
+        hi = number(field(hp, "max", path), f"{path}.max")
+        require(lo <= hi, path, f"must have min <= max, got ({lo!r}, {hi!r})")
         # scaling divides by the span, so an infinite bound or an
         # overflowing span would turn every scaled value into NaN or 0.0
         require(math.isfinite(hi - lo), path,
@@ -161,43 +194,39 @@ def _as_table(doc: dict, source: str) -> BenchmarkTable:
         names.append(hp["name"])
         bounds.append((lo, hi))
 
-    configs = doc["configs"]
-    require(isinstance(configs, list) and configs, "configs", "must be a non-empty array")
+    configs = field(doc, "configs", kind=list)
+    require(configs, "configs", "must not be empty")
     # the checks below run once per config, so each formats its message
     # only when it fails
     ids, values, curves = [], [], []
     seen = set()
     for i, cfg in enumerate(configs):
-        if not isinstance(cfg, dict):
-            raise BenchmarkFormatError(f"configs[{i}]: must be an object")
-        for key in ("id", "values", "curve"):
-            if key not in cfg:
-                raise BenchmarkFormatError(f"configs[{i}]: missing '{key}'")
-        cid = cfg["id"]
-        if type(cid) is not int:
-            raise BenchmarkFormatError(f"configs[{i}].id: must be an integer")
+        path = f"configs[{i}]"
+        node(cfg, dict, path)
+        cid, vals, curve = (field(cfg, "id", path), field(cfg, "values", path),
+                            field(cfg, "curve", path))
+        # an id may be negative: only its type and uniqueness matter
+        cid = count(cid, f"{path}.id", floor=-math.inf)
         if cid in seen:
-            raise BenchmarkFormatError(f"configs[{i}].id: duplicate config id {cid}")
+            raise BenchmarkFormatError(f"{path}.id: duplicate config id {cid}")
         seen.add(cid)
-        vals = cfg["values"]
         if not (isinstance(vals, list) and len(vals) == len(names)):
-            raise BenchmarkFormatError(f"configs[{i}].values: must have {len(names)} entries")
+            raise BenchmarkFormatError(f"{path}.values: must have {len(names)} entries")
         vals = numbers(vals, "configs", i, ".values")
         for j, (v, (lo, hi)) in enumerate(zip(vals, bounds)):
             if not lo <= v <= hi:
                 raise BenchmarkFormatError(
-                    f"configs[{i}].values[{j}]: value {v} outside bounds [{lo}, {hi}]"
+                    f"{path}.values[{j}]: value {v} outside bounds [{lo}, {hi}]"
                     f" (config id {cid})"
                 )
-        curve = cfg["curve"]
         if not (isinstance(curve, list) and len(curve) == b_max):
             got = len(curve) if isinstance(curve, list) else "?"
             raise BenchmarkFormatError(
-                f"configs[{i}].curve: expected length b_max={b_max}, got {got} (config id {cid})"
+                f"{path}.curve: expected length b_max={b_max}, got {got} (config id {cid})"
             )
         curve = numbers(curve, "configs", i, ".curve", cid)
         if not all(map(math.isfinite, curve)):
-            raise BenchmarkFormatError(f"configs[{i}].curve: non-finite value (config id {cid})")
+            raise BenchmarkFormatError(f"{path}.curve: non-finite value (config id {cid})")
         ids.append(cid)
         values.append(vals)
         curves.append(curve)
@@ -205,27 +234,17 @@ def _as_table(doc: dict, source: str) -> BenchmarkTable:
     gen = None
     if "generator" in doc:
         path = "generator.coefficients"
-        require(isinstance(doc["generator"], dict), "generator", "must be an object")
-        coeffs = doc["generator"].get("coefficients")
-        require(
-            isinstance(coeffs, list) and len(coeffs) == len(ids),
-            path, "must list one [alpha, beta, gamma] per config",
-        )
+        generator = node(doc["generator"], dict, "generator")
+        coeffs = field(generator, "coefficients", "generator", list)
+        require(len(coeffs) == len(ids), path, "must list one [alpha, beta, gamma] per config")
         rows = []
         for i, row in enumerate(coeffs):
             if not (isinstance(row, list) and len(row) == 3):
                 raise BenchmarkFormatError(f"{path}[{i}]: must be [alpha, beta, gamma]")
             rows.append(numbers(row, path, i))
+            require(all(map(math.isfinite, rows[-1])), f"{path}[{i}]", "non-finite value")
         gen = np.asarray(rows, dtype=float)
 
-    raw_values = np.asarray(values, dtype=float)
-    raw_curves = np.asarray(curves, dtype=float)
-    loss_curves = 1.0 - raw_curves if metric == "accuracy" else raw_curves.copy()
-    # min-max scale by the declared bounds (not observed extrema); a
-    # degenerate dimension (min == max) maps to 0
-    lo, hi = np.array(bounds).T
-    scaled = np.zeros_like(raw_values)
-    np.divide(raw_values - lo, hi - lo, out=scaled, where=hi > lo)
     return BenchmarkTable(
         name=doc["name"],
         metric_direction=metric,
@@ -233,10 +252,8 @@ def _as_table(doc: dict, source: str) -> BenchmarkTable:
         hp_names=tuple(names),
         bounds=tuple(bounds),
         config_ids=tuple(ids),
-        raw_values=raw_values,
-        raw_curves=raw_curves,
-        loss_curves=loss_curves,
-        scaled_values=scaled,
+        raw_values=np.asarray(values, dtype=float),
+        raw_curves=np.asarray(curves, dtype=float),
         generator_coefficients=gen,
     )
 
@@ -334,17 +351,14 @@ def generate_synthetic(
     if noise_std > 0:
         curves = curves + rng.normal(0.0, noise_std, size=curves.shape)
         curves = np.clip(curves, 1e-6, 1.5)
-    doc = {
-        "name": f"synthetic-s{seed}-n{n_configs}-d{hp_dim}-b{b_max}",
-        "metric": "loss",
-        "b_max": b_max,
-        "hyperparameters": [
-            {"name": f"x{j}", "min": 0.0, "max": 1.0} for j in range(hp_dim)
-        ],
-        "configs": [
-            {"id": i, "values": vals, "curve": curve}
-            for i, (vals, curve) in enumerate(zip(x.tolist(), curves.tolist()))
-        ],
-        "generator": {"coefficients": coeffs.tolist()},
-    }
-    return _as_table(doc, "<synthetic>")
+    return BenchmarkTable(
+        name=f"synthetic-s{seed}-n{n_configs}-d{hp_dim}-b{b_max}",
+        metric_direction="loss",
+        b_max=b_max,
+        hp_names=tuple(f"x{j}" for j in range(hp_dim)),
+        bounds=((0.0, 1.0),) * hp_dim,
+        config_ids=tuple(range(n_configs)),
+        raw_values=x,
+        raw_curves=curves,
+        generator_coefficients=coeffs,
+    )

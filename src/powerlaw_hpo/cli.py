@@ -27,6 +27,8 @@ from .baselines import BASELINE_RUNNERS
 from .benchmarks import (
     BenchmarkFormatError,
     BenchmarkTable,
+    count,
+    finite,
     generate_synthetic,
     load_benchmark,
     oracle,
@@ -67,17 +69,6 @@ def write_trajectory_csv(trajectory: Trajectory, out_dir: Path) -> Path:
     return path
 
 
-def _trajectory_cell(row: dict, column: str, parse, valid, expected: str, where: str):
-    try:
-        value = parse(row[column])
-        ok = valid(value)
-    except ValueError:
-        ok = False
-    if not ok:
-        raise BenchmarkFormatError(f"{where}: {column}: must be {expected}, got {row[column]!r}")
-    return value
-
-
 def read_trajectory_rows(path: Path) -> list[dict] | None:
     """Rows of one trajectory CSV, with ``steps`` and ``normalized_regret`` parsed;
     None for an aggregate, known by its header row (AGGREGATE_COLUMNS) whatever its name."""
@@ -97,12 +88,15 @@ def read_trajectory_rows(path: Path) -> list[dict] | None:
                 where = f"{path}: line {reader.line_num}"
                 if None in row or None in row.values():
                     raise BenchmarkFormatError(f"{where}: expected {len(TRAJECTORY_COLUMNS)} fields")
-                row["steps"] = _trajectory_cell(
-                    row, "steps", int, lambda v: v >= 1, "an integer >= 1", where
-                )
-                row["normalized_regret"] = _trajectory_cell(
-                    row, "normalized_regret", float, math.isfinite, "a finite number", where
-                )
+                # a cell that does not parse reaches its rule as text, which the rule names
+                for column, parse in (("steps", int), ("normalized_regret", float)):
+                    try:
+                        row[column] = parse(row[column])
+                    except ValueError:
+                        pass
+                row["steps"] = count(row["steps"], f"{where}: steps", floor=1)
+                row["normalized_regret"] = finite(row["normalized_regret"],
+                                                  f"{where}: normalized_regret")
                 rows.append(row)
             return rows
     except UnicodeDecodeError as exc:
@@ -192,7 +186,11 @@ def cmd_report(args) -> int:
     if not in_dir.is_dir():
         raise BenchmarkFormatError(f"{in_dir} is not a directory")
     out_path = Path(args.out).resolve()
-    # this report's own output is skipped whatever its header; aggregates are skipped on read
+    if out_path.is_file():
+        with open(out_path, encoding="utf-8", errors="replace", newline="") as fh:
+            if tuple(next(csv.reader(fh), ())) == TRAJECTORY_COLUMNS:
+                raise BenchmarkFormatError(f"{args.out}: --out must not be a trajectory CSV")
+    # this report's own output is never an input; aggregates are skipped on read
     files = sorted(p for p in in_dir.glob("*.csv") if p.resolve() != out_path)
     return _aggregate_directory(in_dir, files, out_path)
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .benchmarks import count
+from .benchmarks import count, finite
 
 
 @dataclass(frozen=True)
@@ -24,7 +24,10 @@ class History:
     rules out duplicate (config, budget) pairs.  Each record's cost is the
     steps beyond its config's previous budget: ``costs`` lists them,
     ``steps`` is their sum and ``best_loss`` the lowest loss (inf while
-    empty).  A rejected append changes none of them.
+    empty).  ``config_id`` must be an ``int`` (negative ids are valid),
+    ``budget`` an ``int`` >= 1 and ``loss`` a finite ``float`` or ``int``
+    (not a bool), or BenchmarkFormatError names the field.  A rejected
+    append changes none of them.
     """
 
     def __init__(self):
@@ -35,9 +38,9 @@ class History:
         self.best_loss = math.inf
 
     def append(self, obs: Observation) -> None:
+        count(obs.config_id, "config_id", floor=-math.inf)
         count(obs.budget, "budget", floor=1)
-        if not math.isfinite(obs.loss):
-            raise ValueError(f"loss must be finite, got {obs.loss}")
+        finite(obs.loss, "loss")
         prev = self._max_budget.get(obs.config_id, 0)
         if obs.budget <= prev:
             raise ValueError(

@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .benchmarks import BenchmarkFormatError, count, numbers, require
+from .benchmarks import BenchmarkFormatError, count, field, node, numbers, reject_unknown, require
 from .neural_core import (
     AdamState,
     DenseNetwork,
@@ -381,31 +381,14 @@ def ensemble_snapshot(ensemble: DplEnsemble) -> dict:
     }
 
 
-def _snapshot_field(doc: dict, key: str, path: str = ""):
-    require(key in doc, f"{path}{key}", "missing")
-    return doc[key]
-
-
-def _snapshot_node(doc: dict, key: str, kind: type, path: str = ""):
-    """``doc[key]``, which must be a JSON array (``kind`` list) or object (``kind`` dict)."""
-    value = _snapshot_field(doc, key, path)
-    require(isinstance(value, kind), f"{path}{key}",
-            f"must be {'a list' if kind is list else 'an object'}")
-    return value
-
-
-def _reject_unknown(doc: dict, known, path: str = "") -> None:
-    unknown = set(doc) - set(known)
-    require(not unknown, f"{path}{min(unknown, default='')}", "unknown field")
-
-
-def _snapshot_vector(doc: dict, key: str, size: int, k: int, field: str = "") -> np.ndarray:
-    """``members[k].{field}{key}``: a list of ``size`` finite JSON numbers."""
-    prefix = f"members[{k}].{field}"
-    values = _snapshot_node(doc, key, list, prefix)
-    vec = np.asarray(numbers(values, "members", k, f".{field}{key}"))
-    require(vec.shape == (size,), prefix + key, f"expected {size} values, got shape {vec.shape}")
-    require(np.all(np.isfinite(vec)), prefix + key, "non-finite value")
+def _snapshot_vector(doc: dict, key: str, size: int, k: int, sub: str = "") -> np.ndarray:
+    """``members[k]{sub}.{key}``: a list of ``size`` finite JSON numbers."""
+    parent = f"members[{k}]{sub}"
+    values = field(doc, key, parent, list)
+    vec = np.asarray(numbers(values, "members", k, f"{sub}.{key}"))
+    path = f"{parent}.{key}"
+    require(vec.shape == (size,), path, f"expected {size} values, got shape {vec.shape}")
+    require(np.all(np.isfinite(vec)), path, "non-finite value")
     return vec
 
 
@@ -423,32 +406,32 @@ def ensemble_from_snapshot(doc: dict) -> DplEnsemble:
     ``DplEnsemble`` itself checks the four shape fields.  Documents of
     another version, or whose version is not the int 4, are rejected.
     """
-    require(isinstance(doc, dict), "snapshot", f"must be an object, got {type(doc).__name__}")
-    version = _snapshot_field(doc, "version")
+    node(doc, dict, "snapshot")
+    version = field(doc, "version")
     if type(version) is not int or version != SNAPSHOT_VERSION:
         raise BenchmarkFormatError(f"unsupported snapshot version {version!r}")
     shape = ("hp_dim", "seed", "n_members", "hidden_width")
     counters = ("init_round", "fit_round")
-    _reject_unknown(doc, ("version", "members", *shape, *counters))
-    ens = DplEnsemble(**{key: _snapshot_field(doc, key) for key in shape})
+    reject_unknown(doc, ("version", "members", *shape, *counters))
+    ens = DplEnsemble(**{key: field(doc, key) for key in shape})
     for key in counters:
-        setattr(ens, key, count(_snapshot_field(doc, key), key))
-    mdocs = _snapshot_node(doc, "members", list)
+        setattr(ens, key, count(field(doc, key), key))
+    mdocs = field(doc, "members", kind=list)
     require(len(mdocs) == ens.n_members, "members",
             f"expected {ens.n_members} entries, got {len(mdocs)}")
     for k, (member, mdoc) in enumerate(zip(ens.members, mdocs)):
-        require(isinstance(mdoc, dict), f"members[{k}]", "must be an object")
-        path = f"members[{k}]."
-        _reject_unknown(mdoc, ("params", "adam"), path)
+        path = f"members[{k}]"
+        node(mdoc, dict, path)
+        reject_unknown(mdoc, ("params", "adam"), path)
         flat = member.body.flat_params
         flat[...] = _snapshot_vector(mdoc, "params", flat.size, k)
-        adam = _snapshot_node(mdoc, "adam", dict, path)
-        path += "adam."
-        _reject_unknown(adam, ("first_moment", "second_moment", "step_count"), path)
+        adam = field(mdoc, "adam", path, dict)
+        path += ".adam"
+        reject_unknown(adam, ("first_moment", "second_moment", "step_count"), path)
         moments = {
-            name: _snapshot_vector(adam, name, flat.size, k, "adam.")
+            name: _snapshot_vector(adam, name, flat.size, k, ".adam")
             for name in ("first_moment", "second_moment")
         }
-        step_count = count(_snapshot_field(adam, "step_count", path), f"{path}step_count")
+        step_count = count(field(adam, "step_count", path), f"{path}.step_count")
         member.adam = AdamState(**moments, step_count=step_count)
     return ens

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from powerlaw_hpo.baselines import (
     geometric_rungs,
@@ -14,6 +16,7 @@ from powerlaw_hpo.baselines import (
 )
 from powerlaw_hpo.benchmarks import (
     BenchmarkFormatError,
+    BenchmarkTable,
     count,
     evaluate,
     generate_synthetic,
@@ -109,10 +112,12 @@ class TestLoadBenchmark:
             (("configs", 0, "curve"), [False, 0.4], r"^configs\[0\]\.curve\[0\]: must be a number"),
             (("generator",), {"coefficients": [[0.1, "x", 1.0]]},
              r"^generator\.coefficients\[0\]\[1\]: must be a number"),
-            (("b_max",), True, r"^b_max: must be a positive integer$"),
-            (("configs", 0, "id"), True, r"^configs\[0\]\.id: must be an integer$"),
-            (("hyperparameters", 0, "min"), False, r"^hyperparameters\[0\]: bounds must be numbers"),
-            (("hyperparameters", 0, "max"), True, r"^hyperparameters\[0\]: bounds must be numbers"),
+            (("b_max",), True, r"^b_max: must be an integer, got True$"),
+            (("configs", 0, "id"), True, r"^configs\[0\]\.id: must be an integer, got True$"),
+            (("hyperparameters", 0, "min"), False,
+             r"^hyperparameters\[0\]\.min: must be a number, got False$"),
+            (("hyperparameters", 0, "max"), True,
+             r"^hyperparameters\[0\]\.max: must be a number, got True$"),
             # integers too large for a float: a 401-digit JSON integer
             (("configs", 0, "curve"), [0.9, 10**400],
              r"^configs\[0\]\.curve\[1\]: integer too large for a float \(config id 0\)$"),
@@ -232,11 +237,11 @@ class TestConfigMessages:
         "bad, message",
         [
             ([1], "configs[1]: must be an object"),
-            ({"values": [0.5, 2], "curve": [0.9, 0.5, 0.3]}, "configs[1]: missing 'id'"),
-            (_bad(values=None), "configs[1]: missing 'values'"),
-            (_bad(curve=None), "configs[1]: missing 'curve'"),
-            (_bad(id="9"), "configs[1].id: must be an integer"),
-            (_bad(id=2.0), "configs[1].id: must be an integer"),
+            ({"values": [0.5, 2], "curve": [0.9, 0.5, 0.3]}, "configs[1].id: missing"),
+            (_bad(values=None), "configs[1].values: missing"),
+            (_bad(curve=None), "configs[1].curve: missing"),
+            (_bad(id="9"), "configs[1].id: must be an integer, got '9'"),
+            (_bad(id=2.0), "configs[1].id: must be an integer, got 2.0"),
             (_bad(id=10), "configs[1].id: duplicate config id 10"),
             (_bad(values="ab"), "configs[1].values: must have 2 entries"),
             (_bad(values=[0.5]), "configs[1].values: must have 2 entries"),
@@ -282,6 +287,13 @@ class TestConfigMessages:
              "generator.coefficients[1][2]: must be a number, got 'x'"),
             ({"coefficients": [[0.1, 0.5, 1.0], [0.1, 10**400, 1.0], [0.1, 0.5, 1.0]]},
              "generator.coefficients[1][1]: integer too large for a float"),
+            # JSON NaN and Infinity parse as floats, so they pass the number rule
+            ({"coefficients": [[0.1, 0.5, 1.0], [0.1, math.nan, 1.0], [0.1, 0.5, 1.0]]},
+             "generator.coefficients[1]: non-finite value"),
+            ({"coefficients": [[0.1, 0.5, 1.0], [0.1, 0.5, 1.0], [-math.inf, 0.5, 1.0]]},
+             "generator.coefficients[2]: non-finite value"),
+            ({}, "generator.coefficients: missing"),
+            ({"coefficients": {"0": [0.1, 0.5, 1.0]}}, "generator.coefficients: must be a list"),
         ],
     )
     def test_full_generator_message(self, tmp_path, generator, message):
@@ -298,6 +310,63 @@ class TestConfigMessages:
         assert str(exc.value) == (
             "configs[1].values[0]: value 1.5 outside bounds [0.0, 1.0] (config id 9)"
         )
+
+
+def _without(keys):
+    """An edit that deletes ``doc[keys[0]]...[keys[-1]]``."""
+    def edit(doc):
+        for key in keys[:-1]:
+            doc = doc[key]
+        del doc[keys[-1]]
+    return edit
+
+
+class TestDocumentMessages:
+    """The structural rules of a table file: the shared wording of the
+    snapshot reader (``<path>: missing``, ``must be a list``, ``must be an object``)."""
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (_without(["name"]), "name: missing"),
+            (_without(["metric"]), "metric: missing"),
+            (_without(["b_max"]), "b_max: missing"),
+            (_without(["hyperparameters"]), "hyperparameters: missing"),
+            (_without(["configs"]), "configs: missing"),
+            (_without(["hyperparameters", 0, "name"]), "hyperparameters[0].name: missing"),
+            (_without(["hyperparameters", 0, "min"]), "hyperparameters[0].min: missing"),
+            (_without(["hyperparameters", 0, "max"]), "hyperparameters[0].max: missing"),
+            (lambda doc: doc.update(b_max=0), "b_max: must be >= 1, got 0"),
+            (lambda doc: doc.update(b_max=2.0), "b_max: must be an integer, got 2.0"),
+            (lambda doc: doc.update(hyperparameters={"lr": {}}), "hyperparameters: must be a list"),
+            (lambda doc: doc.update(hyperparameters=[]), "hyperparameters: must not be empty"),
+            (lambda doc: doc.update(hyperparameters=["lr"]),
+             "hyperparameters[0]: must be an object"),
+            (lambda doc: doc.update(configs={}), "configs: must be a list"),
+            (lambda doc: doc.update(configs=[]), "configs: must not be empty"),
+            (lambda doc: doc["hyperparameters"][0].update(min="0"),
+             "hyperparameters[0].min: must be a number, got '0'"),
+            (lambda doc: doc["hyperparameters"][0].update(max=None),
+             "hyperparameters[0].max: must be a number, got None"),
+            (lambda doc: doc["hyperparameters"][0].update(min=2, max=1),
+             "hyperparameters[0]: must have min <= max, got (2.0, 1.0)"),
+            (lambda doc: doc["hyperparameters"][0].update(min=math.nan),
+             "hyperparameters[0]: must have min <= max, got (nan, 1.0)"),
+        ],
+    )
+    def test_full_message(self, tmp_path, edit, message):
+        doc = _minimal_doc()
+        edit(doc)
+        with pytest.raises(BenchmarkFormatError) as exc:
+            load_benchmark(_write(tmp_path, doc))
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("doc", [[], 5, "x", None])
+    def test_document_not_an_object(self, tmp_path, doc):
+        path = _write(tmp_path, doc)
+        with pytest.raises(BenchmarkFormatError) as exc:
+            load_benchmark(path)
+        assert str(exc.value) == f"{path}: must be an object"
 
 
 def _scaled(tmp_path, values, lo=0.0, hi=1.0):
@@ -434,6 +503,41 @@ class TestGenerateSynthetic:
         with pytest.raises(ValueError, match=r"^seed: must be >= 0, got -1$"):
             generate_synthetic(seed=-1)
 
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_configs=st.integers(1, 12),
+        hp_dim=st.integers(1, 4),
+        b_max=st.integers(1, 15),
+        noise_std=st.sampled_from([0.0, 0.01, 0.3]),
+    )
+    def test_equals_its_saved_and_loaded_copy(self, tmp_path_factory, seed, n_configs, hp_dim,
+                                              b_max, noise_std):
+        # the generator builds its table from its arrays, without the loader's
+        # checks; the file it saves must load back as the same table
+        table = generate_synthetic(seed=seed, n_configs=n_configs, hp_dim=hp_dim, b_max=b_max,
+                                   noise_std=noise_std)
+        path = tmp_path_factory.mktemp("synth") / "t.json"
+        save_benchmark(table, path)
+        loaded = load_benchmark(path)
+        for name in ("raw_values", "raw_curves", "loss_curves", "scaled_values",
+                     "generator_coefficients"):
+            assert np.array_equal(getattr(table, name), getattr(loaded, name)), name
+        for name in ("name", "metric_direction", "b_max", "bounds", "hp_names", "config_ids"):
+            assert getattr(table, name) == getattr(loaded, name), name
+        assert all(type(cid) is int for cid in table.config_ids + loaded.config_ids)
+
+    def test_views_derive_from_the_stored_fields(self, tiny_table):
+        # loss_curves and scaled_values are computed, never passed in
+        flipped = dataclasses.replace(tiny_table, metric_direction="accuracy",
+                                      bounds=((0.0, 2.0), (0.5, 0.5)))
+        assert np.array_equal(flipped.loss_curves, 1.0 - tiny_table.raw_curves)
+        assert np.array_equal(flipped.scaled_values[:, 0], tiny_table.raw_values[:, 0] / 2.0)
+        assert np.all(flipped.scaled_values[:, 1] == 0.0)
+        with pytest.raises(TypeError):
+            BenchmarkTable(**{f.name: getattr(tiny_table, f.name)
+                              for f in dataclasses.fields(BenchmarkTable)})
+
     def test_tables_are_immutable(self, tiny_table):
         with pytest.raises(ValueError):
             tiny_table.loss_curves[0, 0] = 123.0
@@ -565,5 +669,5 @@ class TestSnapshotErrors:
         assert str(info.value) == message
 
     def test_document_not_an_object(self):
-        with pytest.raises(BenchmarkFormatError, match=r"^snapshot: must be an object, got int$"):
+        with pytest.raises(BenchmarkFormatError, match=r"^snapshot: must be an object$"):
             ensemble_from_snapshot(5)

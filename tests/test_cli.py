@@ -479,6 +479,18 @@ class TestReport:
         assert summary.read_bytes() == first == (out / "aggregate.csv").read_bytes()
         assert main(run) == 0
 
+    def test_report_refuses_to_overwrite_a_trajectory(self, tmp_path, capsys):
+        # --out naming a trajectory of the directory would skip it, then replace it
+        bench, out = tmp_path / "bench.json", tmp_path / "o"
+        assert main(_synth_args(bench, configs=12, b_max=4, noise=0.01)) == 0
+        assert main(["run", "--benchmarks", str(bench), "--methods", "rs", "--seeds", "0,1",
+                     "--budget-multiplier", "3", "--out", str(out)]) == 0
+        target = sorted(out.glob("rs__*__seed0.csv"))[0]
+        before = target.read_bytes()
+        assert main(["report", "--in", str(out), "--out", str(target)]) == 3
+        assert f"error: {target}: --out must not be a trajectory CSV" in capsys.readouterr().err
+        assert target.read_bytes() == before
+
     def test_report_skips_earlier_reports(self, tmp_path):
         # an aggregate is known by its header, whatever its file name
         bench, out = tmp_path / "bench.json", tmp_path / "o"
@@ -516,12 +528,12 @@ class TestReport:
     @pytest.mark.parametrize(
         "steps, regret, message",
         [
-            ("abc", "0.2", r"line 2: steps: must be an integer >= 1, got 'abc'"),
-            ("0", "0.2", r"line 2: steps: must be an integer >= 1, got '0'"),
-            ("1.5", "0.2", r"line 2: steps: must be an integer >= 1, got '1.5'"),
-            ("1", "nan", r"line 2: normalized_regret: must be a finite number, got 'nan'"),
-            ("1", "inf", r"line 2: normalized_regret: must be a finite number, got 'inf'"),
-            ("1", "x", r"line 2: normalized_regret: must be a finite number, got 'x'"),
+            ("abc", "0.2", r"line 2: steps: must be an integer, got 'abc'"),
+            ("0", "0.2", r"line 2: steps: must be >= 1, got 0"),
+            ("1.5", "0.2", r"line 2: steps: must be an integer, got '1.5'"),
+            ("1", "nan", r"line 2: normalized_regret: must be finite, got nan"),
+            ("1", "inf", r"line 2: normalized_regret: must be finite, got inf"),
+            ("1", "x", r"line 2: normalized_regret: must be a number, got 'x'"),
         ],
     )
     def test_bad_cell_exits_3_naming_file_line_and_column(

@@ -141,7 +141,6 @@ class TestForecastExperiment:
         tied = dataclasses.replace(
             noiseless_table,
             raw_curves=np.tile(curve, (noiseless_table.n_configs, 1)),
-            loss_curves=np.tile(curve, (noiseless_table.n_configs, 1)),
         )
         report = run_forecast_experiment(tied, 0.5, ForecastModel.PER_CURVE_POWER_LAW, seed=0)
         assert np.ptp(report.true_final) == 0

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from powerlaw_hpo.benchmarks import BenchmarkFormatError
 from powerlaw_hpo.history import History, Observation
 
 
@@ -76,3 +77,33 @@ def test_rejected_append_changes_nothing(obs):
         h.append(obs)
     assert _totals(h) == before
     assert len(h) == 1 and h.max_budget_for(2) == 0
+
+
+@pytest.mark.parametrize(
+    "obs, message",
+    [
+        (Observation(config_id="a", budget=1, loss=0.1), "config_id: must be an integer, got 'a'"),
+        (Observation(config_id=1.5, budget=1, loss=0.1), "config_id: must be an integer, got 1.5"),
+        (Observation(config_id=True, budget=1, loss=0.1),
+         "config_id: must be an integer, got True"),
+        (Observation(config_id=2, budget=1, loss=True), "loss: must be a number, got True"),
+        (Observation(config_id=2, budget=1, loss="0.3"), "loss: must be a number, got '0.3'"),
+        (Observation(config_id=2, budget=1, loss=math.nan), "loss: must be finite, got nan"),
+    ],
+    ids=["str-id", "float-id", "bool-id", "bool-loss", "str-loss", "nan-loss"],
+)
+def test_rejected_field_is_named_and_changes_nothing(obs, message):
+    h = History()
+    h.append(Observation(config_id=1, budget=3, loss=0.5))
+    before = _totals(h)
+    with pytest.raises(BenchmarkFormatError) as info:
+        h.append(obs)
+    assert str(info.value) == message
+    assert _totals(h) == before and len(h) == 1
+
+
+def test_negative_and_int_loss_records_accepted():
+    # a benchmark file may hold negative ids, and a JSON loss may be an integer
+    h = History()
+    h.append(Observation(config_id=-7, budget=2, loss=1))
+    assert _totals(h) == ([2], 2, 1) and h.max_budget_for(-7) == 2

@@ -46,13 +46,14 @@ def test_readme_refactor_gate_lists_every_hooked_name():
 
 
 def test_input_rules_have_one_owner():
-    # the wording of the shared count and JSON-number checks lives in
-    # benchmarks.py; a module that spells it out again holds a second copy
+    # the wording of the shared count, JSON-number and structural checks lives
+    # in benchmarks.py; a module that spells it out again holds a second copy
     package = ROOT / "src" / "powerlaw_hpo"
+    rules = (r"must be an integer|must be a number"
+             r"|: missing|must be a list|must be an object|unknown field")
     copies = sorted(
         path.name
         for path in package.glob("*.py")
-        if path.name != "benchmarks.py"
-        and re.search(r"must be an integer|must be a number", path.read_text(encoding="utf-8"))
+        if path.name != "benchmarks.py" and re.search(rules, path.read_text(encoding="utf-8"))
     )
     assert copies == []

@@ -511,10 +511,9 @@ class TestSnapshot:
         with pytest.raises(ValueError, match=message):
             ensemble_from_snapshot(doc)
 
-    @pytest.mark.parametrize("doc, kind", [(5, "int"), (None, "NoneType"), ([1], "list"),
-                                           ("x", "str")])
-    def test_document_not_an_object_rejected(self, doc, kind):
-        with pytest.raises(ValueError, match=rf"^snapshot: must be an object, got {kind}$"):
+    @pytest.mark.parametrize("doc", [5, None, [1], "x"])
+    def test_document_not_an_object_rejected(self, doc):
+        with pytest.raises(ValueError, match=r"^snapshot: must be an object$"):
             ensemble_from_snapshot(doc)
 
 

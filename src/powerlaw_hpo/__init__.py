@@ -1,6 +1,6 @@
 """Multi-fidelity hyperparameter optimization with power-law surrogates."""
 
-from .acquisition import Candidate, expected_improvement
+from .acquisition import expected_improvement
 from .benchmarks import BenchmarkTable, generate_synthetic, load_benchmark, save_benchmark
 from .curve_models import FitConfig, LearningCurve, fit_single_curve, min_smooth
 from .forecasting import ForecastModel, ForecastReport, run_forecast_experiment, spearman
@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BenchmarkTable",
-    "Candidate",
     "DplEnsemble",
     "FitConfig",
     "ForecastModel",

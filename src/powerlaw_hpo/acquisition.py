@@ -3,18 +3,9 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
-import numpy as np
 
 SQRT2 = math.sqrt(2.0)
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-
-
-@dataclass(frozen=True)
-class Candidate:
-    config_id: int
-    scaled_vector: np.ndarray
 
 
 def _norm_cdf(z: float) -> float:
@@ -43,24 +34,23 @@ def expected_improvement(mean: float, std: float, f_best: float) -> float:
     return max(improvement * _norm_cdf(z) + std * _norm_pdf(z), 0.0)
 
 
-def select_next(candidates: list[Candidate], ensemble, f_best: float) -> Candidate:
+def select_next(config_ids: list[int], vectors, ensemble, f_best: float) -> int:
     """Exhaustive EI scan over the candidate pool at full budget (b_norm = 1).
 
-    EI is scored against ``f_best``, the incumbent loss.  Ties (including
-    the all-zero-EI case) break toward the lowest config id, so the choice
-    is deterministic and pool-order independent.
+    ``vectors`` holds one scaled configuration row per id.  EI is scored
+    against ``f_best``, the incumbent loss.  Ties (including the
+    all-zero-EI case) break toward the lowest config id, so the choice is
+    deterministic and pool-order independent.
     """
-    if not candidates:
+    if not config_ids:
         raise ValueError("candidate pool is empty")
-    xs = np.stack([c.scaled_vector for c in candidates])
-    means, variances = ensemble.posterior_batch(xs, 1.0)
-    best_cand = None
+    means, variances = ensemble.posterior_batch(vectors, 1.0)
+    best_id = None
     best_score = -math.inf
-    for cand, mean, var in zip(candidates, means, variances):
+    for cid, mean, var in zip(config_ids, means, variances):
         std = math.sqrt(var) if var > 0 else 0.0
         ei = expected_improvement(float(mean), std, f_best)
-        if ei > best_score or (ei == best_score and cand.config_id < best_cand.config_id):
-            best_cand = cand
+        if ei > best_score or (ei == best_score and cid < best_id):
+            best_id = cid
             best_score = ei
-    return best_cand
-
+    return best_id

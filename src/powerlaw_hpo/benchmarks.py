@@ -108,7 +108,11 @@ class BenchmarkTable:
     ``raw_curves`` keeps the file's values (in its declared metric
     direction) so tables round-trip bit-exactly; ``loss_curves``, the
     minimization-oriented view used everywhere else, and ``scaled_values``
-    are derived from the other fields on construction.
+    are derived from the other fields on construction.  Construction also
+    checks, for a table built in code as for a loaded one, the metric, each
+    id (an ``int`` that no earlier config holds), ``b_max`` (an ``int`` >=
+    1) and that the array shapes agree with ``hp_names``, ``b_max`` and the
+    number of configs.
     """
 
     name: str
@@ -124,9 +128,26 @@ class BenchmarkTable:
     scaled_values: np.ndarray = dataclass_field(init=False)  # (n, hp_dim), min-max scaled
 
     def __post_init__(self):
+        metric = self.metric_direction
+        require(metric in ("loss", "accuracy"), "metric",
+                f"must be 'loss' or 'accuracy', got {metric!r}")
+        index = {}
+        for i, cid in enumerate(self.config_ids):
+            count(cid, f"configs[{i}].id", floor=-math.inf)  # an id may be negative
+            if index.setdefault(cid, i) != i:
+                raise BenchmarkFormatError(f"configs[{i}].id: duplicate config id {cid}")
+        count(self.b_max, "b_max", floor=1)
+        n, hp_dim = self.n_configs, self.hp_dim
+        for name, arr, shape in (("bounds", self.bounds, (hp_dim, 2)),
+                                 ("raw_values", self.raw_values, (n, hp_dim)),
+                                 ("raw_curves", self.raw_curves, (n, self.b_max))):
+            require(np.shape(arr) == shape, name, f"must have shape {shape}, got {np.shape(arr)}")
+        gen = self.generator_coefficients
+        require(gen is None or np.shape(gen) == (n, 3), "generator.coefficients",
+                "must list one [alpha, beta, gamma] per config")
         raw = self.raw_curves
         object.__setattr__(
-            self, "loss_curves", 1.0 - raw if self.metric_direction == "accuracy" else raw.copy()
+            self, "loss_curves", 1.0 - raw if metric == "accuracy" else raw.copy()
         )
         # min-max scale by the declared bounds (not observed extrema); a
         # degenerate dimension (min == max) maps to 0
@@ -136,9 +157,9 @@ class BenchmarkTable:
         object.__setattr__(self, "scaled_values", scaled)
         for arr in (self.raw_values, self.raw_curves, self.loss_curves, self.scaled_values):
             arr.setflags(write=False)
-        if self.generator_coefficients is not None:
-            self.generator_coefficients.setflags(write=False)
-        object.__setattr__(self, "_id_index", {cid: i for i, cid in enumerate(self.config_ids)})
+        if gen is not None:
+            gen.setflags(write=False)
+        object.__setattr__(self, "_id_index", index)
 
     @property
     def n_configs(self) -> int:
@@ -174,7 +195,6 @@ def _as_table(doc: dict, source: str) -> BenchmarkTable:
     node(doc, dict, source)
     require(isinstance(field(doc, "name"), str), "name", "must be a string")
     metric = field(doc, "metric")
-    require(metric in ("loss", "accuracy"), "metric", f"must be 'loss' or 'accuracy', got {metric!r}")
     b_max = count(field(doc, "b_max"), "b_max", floor=1)
 
     hps = field(doc, "hyperparameters", kind=list)
@@ -197,19 +217,13 @@ def _as_table(doc: dict, source: str) -> BenchmarkTable:
     configs = field(doc, "configs", kind=list)
     require(configs, "configs", "must not be empty")
     # the checks below run once per config, so each formats its message
-    # only when it fails
+    # only when it fails; BenchmarkTable checks the ids
     ids, values, curves = [], [], []
-    seen = set()
     for i, cfg in enumerate(configs):
         path = f"configs[{i}]"
         node(cfg, dict, path)
         cid, vals, curve = (field(cfg, "id", path), field(cfg, "values", path),
                             field(cfg, "curve", path))
-        # an id may be negative: only its type and uniqueness matter
-        cid = count(cid, f"{path}.id", floor=-math.inf)
-        if cid in seen:
-            raise BenchmarkFormatError(f"{path}.id: duplicate config id {cid}")
-        seen.add(cid)
         if not (isinstance(vals, list) and len(vals) == len(names)):
             raise BenchmarkFormatError(f"{path}.values: must have {len(names)} entries")
         vals = numbers(vals, "configs", i, ".values")
@@ -236,7 +250,6 @@ def _as_table(doc: dict, source: str) -> BenchmarkTable:
         path = "generator.coefficients"
         generator = node(doc["generator"], dict, "generator")
         coeffs = field(generator, "coefficients", "generator", list)
-        require(len(coeffs) == len(ids), path, "must list one [alpha, beta, gamma] per config")
         rows = []
         for i, row in enumerate(coeffs):
             if not (isinstance(row, list) and len(row) == 3):
@@ -280,7 +293,7 @@ def table_to_document(table: BenchmarkTable) -> dict:
             for n, (lo, hi) in zip(table.hp_names, table.bounds)
         ],
         "configs": [
-            {"id": int(cid), "values": vals, "curve": curve}
+            {"id": cid, "values": vals, "curve": curve}
             for cid, vals, curve in zip(
                 table.config_ids, table.raw_values.tolist(), table.raw_curves.tolist()
             )

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .benchmarks import count, require
+from .benchmarks import count, number, require
 from .neural_core import ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON
 
 
@@ -137,9 +137,8 @@ class FitConfig:
     seed: int | tuple[int, ...] = 0
 
     def __post_init__(self):
-        lr = self.lr
-        require(not isinstance(lr, bool) and isinstance(lr, (int, float)) and 0.0 < lr < math.inf,
-                "lr", f"must be finite and > 0, got {lr!r}")
+        require(0.0 < number(self.lr, "lr") < math.inf, "lr",
+                f"must be finite and > 0, got {self.lr!r}")
         count(self.max_epochs, "max_epochs", floor=1)
         count(self.restarts, "restarts", floor=1)
         if isinstance(self.seed, tuple):

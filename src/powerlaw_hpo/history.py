@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .benchmarks import count, finite
+from .benchmarks import count, finite, require
 
 
 @dataclass(frozen=True)
@@ -25,8 +25,9 @@ class History:
     steps beyond its config's previous budget: ``costs`` lists them,
     ``steps`` is their sum and ``best_loss`` the lowest loss (inf while
     empty).  ``config_id`` must be an ``int`` (negative ids are valid),
-    ``budget`` an ``int`` >= 1 and ``loss`` a finite ``float`` or ``int``
-    (not a bool), or BenchmarkFormatError names the field.  A rejected
+    ``budget`` an ``int`` >= 1 above the config's previous budget and
+    ``loss`` a finite ``float`` or ``int`` (not a bool), or
+    BenchmarkFormatError names the field.  A rejected
     append changes none of them.
     """
 
@@ -42,10 +43,8 @@ class History:
         count(obs.budget, "budget", floor=1)
         finite(obs.loss, "loss")
         prev = self._max_budget.get(obs.config_id, 0)
-        if obs.budget <= prev:
-            raise ValueError(
-                f"config {obs.config_id}: budget {obs.budget} not above previous {prev}"
-            )
+        require(obs.budget > prev, "budget",
+                f"must be above config {obs.config_id}'s previous budget {prev}, got {obs.budget}")
         self._records.append(obs)
         self._max_budget[obs.config_id] = obs.budget
         self.costs.append(obs.budget - prev)

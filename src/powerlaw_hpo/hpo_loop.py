@@ -14,7 +14,6 @@ from itertools import accumulate
 import numpy as np
 
 from . import acquisition
-from .acquisition import Candidate
 from .benchmarks import (
     BenchmarkFormatError,
     BenchmarkTable,
@@ -176,11 +175,10 @@ class RunContext:
         self.history.append(Observation(config_id=config_id, budget=budget, loss=loss))
         return loss
 
-    def candidate_pool(self) -> list[Candidate]:
-        """Configs not yet fully evaluated, as acquisition candidates."""
+    def candidate_pool(self) -> list[int]:
+        """Table rows of the configs not yet fully evaluated."""
         return [
-            Candidate(config_id=cid, scaled_vector=self.table.scaled_values[i])
-            for i, cid in enumerate(self.table.config_ids)
+            row for row, cid in enumerate(self.table.config_ids)
             if self.history.max_budget_for(cid) < self.table.b_max
         ]
 
@@ -188,7 +186,7 @@ class RunContext:
 def seed_initial_design(ctx: RunContext) -> int:
     """Evaluate one configuration, drawn uniformly from the run's seed, for one step."""
     rng = np.random.default_rng([ctx.trajectory.seed, 0])
-    cid = int(ctx.table.config_ids[rng.integers(0, ctx.table.n_configs)])
+    cid = ctx.table.config_ids[rng.integers(0, ctx.table.n_configs)]
     ctx.observe(cid, 1)
     return cid
 
@@ -227,8 +225,9 @@ def run_dpl(
         data = _training_data(ctx)
         # the history length is the iteration number: the initial design
         # adds one record, and each iteration adds one more, since it
-        # advances a config below b_max by one step while steps remain
-        if len(ctx.history) <= schedule.initial_phase_iterations:
+        # advances a config below b_max by one step while steps remain;
+        # the first iteration has no fit to refine, so it fits from scratch
+        if len(ctx.history) <= max(1, schedule.initial_phase_iterations):
             fit_loss = ensemble.fit_initial(data, schedule)
         elif restart_pending:
             fit_loss = ensemble.restart(data, schedule)
@@ -237,10 +236,11 @@ def run_dpl(
             fit_loss = ensemble.refine(data, schedule)
         restart_pending = should_restart(stagnation, fit_loss)
 
-        pool = ctx.candidate_pool()
-        if not pool:
+        rows = ctx.candidate_pool()
+        if not rows:
             break
         # one step: the pool holds only configs below b_max, and steps remain
-        selected = acquisition.select_next(pool, ensemble, ctx.history.best_loss)
-        ctx.observe(selected.config_id, ctx.history.max_budget_for(selected.config_id) + 1)
+        cid = acquisition.select_next([table.config_ids[r] for r in rows],
+                                      table.scaled_values[rows], ensemble, ctx.history.best_loss)
+        ctx.observe(cid, ctx.history.max_budget_for(cid) + 1)
     return ctx.trajectory

@@ -5,11 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from powerlaw_hpo.acquisition import (
-    Candidate,
-    expected_improvement,
-    select_next,
-)
+from powerlaw_hpo.acquisition import expected_improvement, select_next
 
 
 class TestExpectedImprovement:
@@ -72,42 +68,38 @@ class _StubEnsemble:
         return means, variances
 
 
+def _pool(ids, keys):
+    """Config ids and their one-column scaled vectors, one row per id."""
+    return list(ids), np.array([[k] for k in keys])
+
+
 class TestSelectNext:
     def test_single_candidate_pool(self):
-        pool = [Candidate(config_id=3, scaled_vector=np.array([0.1]))]
+        ids, vectors = _pool([3], [0.1])
         ens = _StubEnsemble({0.1: (0.4, 0.01)})
-        assert select_next(pool, ens, 0.5) is pool[0]
+        assert select_next(ids, vectors, ens, 0.5) == 3
 
     def test_lower_mean_wins_at_equal_std(self):
-        pool = [
-            Candidate(config_id=1, scaled_vector=np.array([0.1])),
-            Candidate(config_id=2, scaled_vector=np.array([0.2])),
-        ]
+        ids, vectors = _pool([1, 2], [0.1, 0.2])
         ens = _StubEnsemble({0.1: (0.45, 0.04), 0.2: (0.05, 0.04)})
-        assert select_next(pool, ens, 0.5).config_id == 2
+        assert select_next(ids, vectors, ens, 0.5) == 2
 
     def test_all_zero_ei_breaks_tie_by_lowest_id(self):
-        pool = [
-            Candidate(config_id=7, scaled_vector=np.array([0.1])),
-            Candidate(config_id=3, scaled_vector=np.array([0.2])),
-            Candidate(config_id=5, scaled_vector=np.array([0.3])),
-        ]
+        ids, vectors = _pool([7, 3, 5], [0.1, 0.2, 0.3])
         ens = _StubEnsemble({0.1: (0.9, 0.0), 0.2: (0.8, 0.0), 0.3: (0.7, 0.0)})
-        assert select_next(pool, ens, 0.5).config_id == 3
+        assert select_next(ids, vectors, ens, 0.5) == 3
 
     def test_pool_permutation_invariant(self):
         rng = np.random.default_rng(0)
         keys = [round(k, 6) for k in rng.uniform(0, 1, 10)]
         mapping = {k: (rng.uniform(0, 1), rng.uniform(0, 0.1)) for k in keys}
-        pool = [Candidate(config_id=i, scaled_vector=np.array([k])) for i, k in enumerate(keys)]
+        ids, vectors = _pool(range(10), keys)
         ens = _StubEnsemble(mapping)
-        chosen = select_next(pool, ens, 0.5)
+        chosen = select_next(ids, vectors, ens, 0.5)
         for perm_seed in range(5):
-            shuffled = list(pool)
-            np.random.default_rng(perm_seed).shuffle(shuffled)
-            assert select_next(shuffled, ens, 0.5).config_id == chosen.config_id
+            order = np.random.default_rng(perm_seed).permutation(10)
+            assert select_next([ids[i] for i in order], vectors[order], ens, 0.5) == chosen
 
     def test_empty_pool_rejected(self):
         with pytest.raises(ValueError):
-            select_next([], _StubEnsemble({}), 0.5)
-
+            select_next([], np.empty((0, 1)), _StubEnsemble({}), 0.5)

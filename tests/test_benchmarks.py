@@ -545,6 +545,49 @@ class TestGenerateSynthetic:
             tiny_table.scaled_values[0, 0] = 123.0
 
 
+_SIX = generate_synthetic(seed=0, n_configs=6, hp_dim=2, b_max=4)
+
+
+class TestTableRules:
+    """A table built in code obeys the loader's rules: each field is checked
+    when the table is built, not when a run first reads it."""
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            # a numpy id used to build, then fail the run's first History.append
+            ({"config_ids": tuple(np.arange(6))}, "configs[0].id: must be an integer, got np.int64(0)"),
+            ({"config_ids": (0, 1, 2, "3", 4, 5)}, "configs[3].id: must be an integer, got '3'"),
+            # a repeated id used to hide the first row from every lookup
+            ({"config_ids": (0, 0, 1, 2, 3, 4)}, "configs[1].id: duplicate config id 0"),
+            ({"config_ids": (0, 1, 2, 3, 4)}, "raw_values: must have shape (5, 2), got (6, 2)"),
+            # a short curve used to raise IndexError in evaluate at the last step
+            ({"raw_curves": _SIX.raw_curves[:, :3]},
+             "raw_curves: must have shape (6, 4), got (6, 3)"),
+            ({"b_max": 5}, "raw_curves: must have shape (6, 5), got (6, 4)"),
+            # a float b_max used to build and then fail every curve lookup
+            ({"b_max": 4.0}, "b_max: must be an integer, got 4.0"),
+            ({"raw_values": _SIX.raw_values[:, :1]},
+             "raw_values: must have shape (6, 2), got (6, 1)"),
+            ({"hp_names": ("x0",)}, "bounds: must have shape (1, 2), got (2, 2)"),
+            ({"bounds": ((0.0, 1.0),) * 3}, "bounds: must have shape (2, 2), got (3, 2)"),
+            ({"generator_coefficients": _SIX.generator_coefficients[:5]},
+             "generator.coefficients: must list one [alpha, beta, gamma] per config"),
+            # an unknown metric used to be read as loss
+            ({"metric_direction": "acc"}, "metric: must be 'loss' or 'accuracy', got 'acc'"),
+        ],
+    )
+    def test_bad_field_rejected_on_construction(self, changes, message):
+        with pytest.raises(BenchmarkFormatError) as info:
+            dataclasses.replace(_SIX, **changes)
+        assert str(info.value) == message
+
+    def test_negative_ids_and_no_generator_accepted(self):
+        table = dataclasses.replace(_SIX, config_ids=(-3, 7, 0, -1, 2, 5),
+                                    generator_coefficients=None)
+        assert [table.index_of(cid) for cid in (-3, 7, 0, -1, 2, 5)] == list(range(6))
+
+
 def _snapshot(edit=None):
     doc = ensemble_snapshot(DplEnsemble(hp_dim=2, seed=0, n_members=2, hidden_width=4))
     if edit is not None:

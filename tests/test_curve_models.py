@@ -304,9 +304,21 @@ class TestFitConfig:
         with pytest.raises(ValueError, match=message):
             FitConfig(**{field: value})
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -0.05, True, "0.05"])
-    def test_bad_learning_rate_rejected(self, value):
-        message = rf"^lr: must be finite and > 0, got {re.escape(repr(value))}$"
+    @pytest.mark.parametrize(
+        "value, rule",
+        [
+            (math.nan, "must be finite and > 0"),
+            (math.inf, "must be finite and > 0"),
+            (0.0, "must be finite and > 0"),
+            (-0.05, "must be finite and > 0"),
+            (True, "must be a number"),
+            ("0.05", "must be a number"),
+            (np.float64(0.05), "must be a number"),
+        ],
+        ids=["nan", "inf", "zero", "negative", "bool", "str", "numpy"],
+    )
+    def test_bad_learning_rate_rejected(self, value, rule):
+        message = rf"^lr: {rule}, got {re.escape(repr(value))}$"
         with pytest.raises(ValueError, match=message):
             FitConfig(lr=value)
 

@@ -25,6 +25,14 @@ def test_per_config_budgets_strictly_increasing():
         h.append(Observation(config_id=1, budget=1, loss=0.8))  # regression
 
 
+def test_budget_order_error_names_the_field():
+    h = History()
+    h.append(Observation(config_id=1, budget=2, loss=0.9))
+    with pytest.raises(BenchmarkFormatError) as info:
+        h.append(Observation(config_id=1, budget=2, loss=0.8))
+    assert str(info.value) == "budget: must be above config 1's previous budget 2, got 2"
+
+
 def test_max_budget_tracking():
     h = History()
     assert h.max_budget_for(5) == 0

@@ -167,6 +167,19 @@ class TestPhaseOrder:
         )
 
 
+class TestNoInitialPhase:
+    def test_zero_initial_iterations_run_like_one(self):
+        # the first iteration has no fit to refine, so it fits from scratch
+        table = generate_synthetic(seed=2, n_configs=5, hp_dim=2, b_max=4)
+        settings = RunSettings(seed=0, total_step_budget=8)
+        rows = [
+            run_dpl(table, settings, schedule=TrainerSchedule.for_curve_length(
+                4, initial_epochs=5, refine_epochs=2, initial_phase_iterations=k)).to_rows()
+            for k in (0, 1)
+        ]
+        assert len(rows[0]) == 8 and rows[0] == rows[1]
+
+
 class TestIncumbentRegret:
     def test_simple_difference(self, tiny_table):
         h = History()
@@ -226,9 +239,9 @@ class TestRunContext:
         ctx = RunContext(tiny_table, RunSettings(seed=0, total_step_budget=100), "t")
         cid = tiny_table.config_ids[0]
         ctx.observe(cid, tiny_table.b_max)
-        pool_ids = {c.config_id for c in ctx.candidate_pool()}
-        assert cid not in pool_ids
-        assert len(pool_ids) == tiny_table.n_configs - 1
+        rows = ctx.candidate_pool()
+        assert tiny_table.index_of(cid) not in rows
+        assert rows == sorted(set(rows)) and len(rows) == tiny_table.n_configs - 1
 
 
 class TestRunSettings:

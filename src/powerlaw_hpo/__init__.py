@@ -5,7 +5,7 @@ from .benchmarks import BenchmarkTable, generate_synthetic, load_benchmark, save
 from .curve_models import FitConfig, LearningCurve, fit_single_curve, min_smooth
 from .forecasting import ForecastModel, ForecastReport, run_forecast_experiment, spearman
 from .history import History, Observation
-from .hpo_loop import RunSettings, Trajectory, incumbent_regret, run_dpl
+from .hpo_loop import RunContext, RunSettings, incumbent_regret, run_dpl
 from .baselines import run_asha, run_hyperband, run_random_search, run_successive_halving
 from .surrogate import DplEnsemble, TrainerSchedule, TrainingData
 
@@ -20,10 +20,10 @@ __all__ = [
     "History",
     "LearningCurve",
     "Observation",
+    "RunContext",
     "RunSettings",
     "TrainerSchedule",
     "TrainingData",
-    "Trajectory",
     "expected_improvement",
     "fit_single_curve",
     "generate_synthetic",

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .benchmarks import BenchmarkTable, count
-from .hpo_loop import RunContext, RunSettings, Trajectory, seed_initial_design
+from .hpo_loop import RunContext, RunSettings, seed_initial_design
 
 DEFAULT_ETA = 3
 
@@ -32,7 +32,7 @@ def geometric_rungs(b_max: int, eta: int) -> tuple[int, ...]:
     return tuple(rungs)
 
 
-def run_random_search(table: BenchmarkTable, settings: RunSettings) -> Trajectory:
+def run_random_search(table: BenchmarkTable, settings: RunSettings) -> RunContext:
     """Evaluate uniformly sampled unseen configurations at full budget."""
     ctx = RunContext(table, settings, method="rs")
     rng = np.random.default_rng([settings.seed, 1])
@@ -41,7 +41,7 @@ def run_random_search(table: BenchmarkTable, settings: RunSettings) -> Trajector
         pick = int(rng.integers(0, len(unevaluated)))
         cid = unevaluated.pop(pick)
         ctx.observe(cid, table.b_max)
-    return ctx.trajectory
+    return ctx
 
 
 def _sample_cohort(rng: np.random.Generator, pool: list[int], n: int) -> list[int]:
@@ -93,7 +93,7 @@ def hyperband_brackets(b_max: int, eta: int = DEFAULT_ETA) -> list[tuple[int, tu
 
 def _run_brackets(
     table: BenchmarkTable, settings: RunSettings, method: str, plan: list, eta: int
-) -> Trajectory:
+) -> RunContext:
     """Cycle through a bracket plan of (n_configs, rungs) until the budget is spent."""
     ctx = RunContext(table, settings, method=method)
     rng = np.random.default_rng([settings.seed, 1])
@@ -109,12 +109,12 @@ def _run_brackets(
                 break
         if alive and ctx.steps_consumed == before:  # pool too small to make progress
             break
-    return ctx.trajectory
+    return ctx
 
 
 def run_successive_halving(
     table: BenchmarkTable, settings: RunSettings, eta: int = DEFAULT_ETA
-) -> Trajectory:
+) -> RunContext:
     """Hyperband with the one bracket (eta^(len(rungs)-1), geometric_rungs):
     repeat SH brackets until the budget is spent."""
     rungs = geometric_rungs(table.b_max, eta)
@@ -123,12 +123,12 @@ def run_successive_halving(
 
 def run_hyperband(
     table: BenchmarkTable, settings: RunSettings, eta: int = DEFAULT_ETA
-) -> Trajectory:
+) -> RunContext:
     """Cycle through the Hyperband bracket plan until the budget is spent."""
     return _run_brackets(table, settings, "hb", hyperband_brackets(table.b_max, eta), eta)
 
 
-def run_asha(table: BenchmarkTable, settings: RunSettings, eta: int = DEFAULT_ETA) -> Trajectory:
+def run_asha(table: BenchmarkTable, settings: RunSettings, eta: int = DEFAULT_ETA) -> RunContext:
     """Single-worker simulation of asynchronous successive halving.
 
     Each tick runs one job: the best not-yet-promoted configuration in the
@@ -175,7 +175,7 @@ def run_asha(table: BenchmarkTable, settings: RunSettings, eta: int = DEFAULT_ET
                 break
         else:
             break
-    return ctx.trajectory
+    return ctx
 
 
 BASELINE_RUNNERS = {

@@ -111,8 +111,9 @@ class BenchmarkTable:
     are derived from the other fields on construction.  Construction also
     checks, for a table built in code as for a loaded one, the metric, each
     id (an ``int`` that no earlier config holds), ``b_max`` (an ``int`` >=
-    1) and that the array shapes agree with ``hp_names``, ``b_max`` and the
-    number of configs.
+    1), that the curves, values and coefficients are float64 numpy arrays,
+    and that the shapes of those and of ``bounds`` agree with ``hp_names``,
+    ``b_max`` and the number of configs.
     """
 
     name: str
@@ -137,12 +138,21 @@ class BenchmarkTable:
             if index.setdefault(cid, i) != i:
                 raise BenchmarkFormatError(f"configs[{i}].id: duplicate config id {cid}")
         count(self.b_max, "b_max", floor=1)
+        gen = self.generator_coefficients
+        for name, arr in (("raw_values", self.raw_values), ("raw_curves", self.raw_curves),
+                          ("generator.coefficients", gen)):
+            if arr is not None and not (isinstance(arr, np.ndarray) and arr.dtype == float):
+                got = f"{arr.dtype} array" if isinstance(arr, np.ndarray) else type(arr).__name__
+                raise BenchmarkFormatError(f"{name}: must be a float64 array, got {got}")
         n, hp_dim = self.n_configs, self.hp_dim
         for name, arr, shape in (("bounds", self.bounds, (hp_dim, 2)),
                                  ("raw_values", self.raw_values, (n, hp_dim)),
                                  ("raw_curves", self.raw_curves, (n, self.b_max))):
-            require(np.shape(arr) == shape, name, f"must have shape {shape}, got {np.shape(arr)}")
-        gen = self.generator_coefficients
+            try:
+                got = np.shape(arr)
+            except ValueError:  # numpy gives a ragged nesting no shape
+                got = "a ragged nesting"
+            require(got == shape, name, f"must have shape {shape}, got {got}")
         require(gen is None or np.shape(gen) == (n, 3), "generator.coefficients",
                 "must list one [alpha, beta, gamma] per config")
         raw = self.raw_curves

@@ -35,7 +35,7 @@ from .benchmarks import (
     save_benchmark,
 )
 from .forecasting import ForecastModel, run_forecast_experiment
-from .hpo_loop import TRAJECTORY_COLUMNS, RunSettings, Trajectory, run_dpl
+from .hpo_loop import TRAJECTORY_COLUMNS, RunContext, RunSettings, regret_span, run_dpl
 
 METHODS = ("dpl", *BASELINE_RUNNERS)
 FORECAST_MODELS = tuple(m.value for m in ForecastModel)
@@ -62,10 +62,9 @@ def _safe_name(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9._-]+", "_", name)
 
 
-def write_trajectory_csv(trajectory: Trajectory, out_dir: Path) -> Path:
-    name = f"{trajectory.method}__{_safe_name(trajectory.dataset)}__seed{trajectory.seed}.csv"
-    path = out_dir / name
-    _write_csv(path, TRAJECTORY_COLUMNS, trajectory.to_rows())
+def write_trajectory_csv(run: RunContext, out_dir: Path) -> Path:
+    path = out_dir / f"{run.method}__{_safe_name(run.table.name)}__seed{run.seed}.csv"
+    _write_csv(path, TRAJECTORY_COLUMNS, run.to_rows())
     return path
 
 
@@ -138,7 +137,7 @@ def aggregate_trajectory_rows(rows: list[dict]) -> list[tuple]:
     return out
 
 
-def _run_one(method: str, table: BenchmarkTable, seed: int, budget_multiplier: int) -> Trajectory:
+def _run_one(method: str, table: BenchmarkTable, seed: int, budget_multiplier: int) -> RunContext:
     settings = RunSettings(seed=seed, budget_multiplier=budget_multiplier)
     if method == "dpl":
         return run_dpl(table, settings)
@@ -147,9 +146,11 @@ def _run_one(method: str, table: BenchmarkTable, seed: int, budget_multiplier: i
 
 def cmd_run(args) -> int:
     tables = [load_benchmark(p) for p in args.benchmarks]
+    # every table is checked before any cell runs, so a bad one leaves --out empty;
     # trajectory files are named by table, so two tables of one name would overwrite cells
     owner: dict[str, str] = {}
     for path, table in zip(args.benchmarks, tables):
+        regret_span(table)
         name = _safe_name(table.name)
         if name in owner:
             raise BenchmarkFormatError(
@@ -162,8 +163,8 @@ def cmd_run(args) -> int:
     for table in tables:
         for method in args.methods:
             for seed in args.seeds:
-                trajectory = _run_one(method, table, seed, args.budget_multiplier)
-                written.append(write_trajectory_csv(trajectory, out_dir))
+                run = _run_one(method, table, seed, args.budget_multiplier)
+                written.append(write_trajectory_csv(run, out_dir))
     # re-read this run's own cells, so `run` and `report` agree exactly on a fresh
     # directory and cells an earlier run left in out_dir stay out of the mean
     return _aggregate_directory(out_dir, sorted(written), out_dir / AGGREGATE_FILENAME)

@@ -8,6 +8,7 @@ integer steps.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -70,16 +71,60 @@ class TrajectoryPoint:
     incumbent_regret: float
 
 
-@dataclass
-class Trajectory:
-    """A run's record: its points are derived from ``history``."""
+def incumbent_regret(history: History, table: BenchmarkTable) -> float:
+    """Best observed loss at any budget minus the benchmark-wide oracle."""
+    if len(history) == 0:
+        raise ValueError("history is empty")
+    return history.best_loss - oracle(table)
 
-    method: str
-    dataset: str
-    seed: int
-    normalization_span: float
-    history: History
-    oracle_loss: float
+
+def regret_span(table: BenchmarkTable) -> float:
+    """The best-to-worst span of per-config best losses, which normalizes regret.
+
+    A lone config's span is 1.0.  BenchmarkFormatError names the benchmark
+    when several configs share one best loss (the span is 0), or when the
+    largest normalized regret, (worst loss - oracle) / span, is not finite:
+    the span or that difference overflows, or the span is so small that
+    the quotient does.  Every run's normalized regret is then finite.
+    """
+    best = table.loss_curves.min(axis=1)
+    lowest = float(best.min())
+    span = float(best.max()) - lowest
+    if span <= 0 and table.n_configs > 1:
+        raise BenchmarkFormatError(
+            f"benchmark {table.name!r} is degenerate: all configurations share "
+            "the same best loss, so regret cannot be normalized"
+        )
+    span = span if span > 0 else 1.0
+    # Python floats overflow to inf quietly, where numpy scalars would warn
+    largest = (float(table.loss_curves.max()) - lowest) / span
+    if not math.isfinite(largest):
+        raise BenchmarkFormatError(
+            f"benchmark {table.name!r} cannot normalize regret: the largest normalized "
+            f"regret, (worst loss - oracle) / span, is {largest}"
+        )
+    return span
+
+
+class RunContext:
+    """One run: its method and seed, budget accounting, history and trajectory.
+
+    Step costs are incremental: advancing a configuration charges only the
+    steps beyond its previous high-water mark (its highest budget in the
+    history), and a lookup at or below that mark is free (the curve prefix
+    was already paid for).  No evaluation may exceed the total step budget.
+    The history holds the run's state; the step count and the trajectory
+    are read from it.
+    """
+
+    def __init__(self, table: BenchmarkTable, settings: RunSettings, method: str):
+        self.table = table
+        self.method = method
+        self.seed = settings.seed
+        self.total_step_budget = settings.resolve_budget(table)
+        self.history = History()
+        self.normalization_span = regret_span(table)
+        self.oracle_loss = oracle(table)
 
     @property
     def points(self) -> list[TrajectoryPoint]:
@@ -93,7 +138,7 @@ class Trajectory:
             (
                 self.seed,
                 self.method,
-                self.dataset,
+                self.table.name,
                 p.steps_consumed,
                 0.0,  # wall_time_s: kept so the file format does not change
                 p.incumbent_loss,
@@ -102,45 +147,6 @@ class Trajectory:
             )
             for p in self.points
         ]
-
-
-def incumbent_regret(history: History, table: BenchmarkTable) -> float:
-    """Best observed loss at any budget minus the benchmark-wide oracle."""
-    if len(history) == 0:
-        raise ValueError("history is empty")
-    return history.best_loss - oracle(table)
-
-
-class RunContext:
-    """Budget accounting, history and trajectory recording for one run.
-
-    Step costs are incremental: advancing a configuration charges only the
-    steps beyond its previous high-water mark (its highest budget in the
-    history), and a lookup at or below that mark is free (the curve prefix
-    was already paid for).  No evaluation may exceed the total step budget.
-    The history holds the run's state; the step count and the trajectory
-    are read from it.
-    """
-
-    def __init__(self, table: BenchmarkTable, settings: RunSettings, method: str):
-        self.table = table
-        self.total_step_budget = settings.resolve_budget(table)
-        self.history = History()
-        best = table.loss_curves.min(axis=1)
-        span = float(best.max() - best.min())
-        if span <= 0 and table.n_configs > 1:
-            raise BenchmarkFormatError(
-                f"benchmark {table.name!r} is degenerate: all configurations share "
-                "the same best loss, so regret cannot be normalized"
-            )
-        self.trajectory = Trajectory(
-            method=method,
-            dataset=table.name,
-            seed=settings.seed,
-            normalization_span=span if span > 0 else 1.0,
-            history=self.history,
-            oracle_loss=oracle(table),
-        )
 
     @property
     def steps_consumed(self) -> int:
@@ -185,7 +191,7 @@ class RunContext:
 
 def seed_initial_design(ctx: RunContext) -> int:
     """Evaluate one configuration, drawn uniformly from the run's seed, for one step."""
-    rng = np.random.default_rng([ctx.trajectory.seed, 0])
+    rng = np.random.default_rng([ctx.seed, 0])
     cid = ctx.table.config_ids[rng.integers(0, ctx.table.n_configs)]
     ctx.observe(cid, 1)
     return cid
@@ -203,7 +209,7 @@ def run_dpl(
     table: BenchmarkTable,
     settings: RunSettings,
     schedule: TrainerSchedule | None = None,
-) -> Trajectory:
+) -> RunContext:
     """Run the power-law-surrogate HPO loop until the step budget is spent.
 
     Per iteration: train the ensemble (full retrain during the first 10
@@ -243,4 +249,4 @@ def run_dpl(
         cid = acquisition.select_next([table.config_ids[r] for r in rows],
                                       table.scaled_values[rows], ensemble, ctx.history.best_loss)
         ctx.observe(cid, ctx.history.max_budget_for(cid) + 1)
-    return ctx.trajectory
+    return ctx

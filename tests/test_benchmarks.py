@@ -571,6 +571,16 @@ class TestTableRules:
              "raw_values: must have shape (6, 2), got (6, 1)"),
             ({"hp_names": ("x0",)}, "bounds: must have shape (1, 2), got (2, 2)"),
             ({"bounds": ((0.0, 1.0),) * 3}, "bounds: must have shape (2, 2), got (3, 2)"),
+            # a ragged pair used to raise numpy's own ValueError (inhomogeneous shape)
+            ({"bounds": ((0.0, 1.0), (0.0,))}, "bounds: must have shape (2, 2), got a ragged nesting"),
+            # a list used to build as far as setflags, then raise AttributeError
+            ({"raw_values": _SIX.raw_values.tolist()}, "raw_values: must be a float64 array, got list"),
+            ({"raw_curves": _SIX.raw_curves.tolist()}, "raw_curves: must be a float64 array, got list"),
+            # an integer array used to fail the scaling's in-place divide with a TypeError
+            ({"raw_values": np.ones((6, 2), dtype=int)},
+             "raw_values: must be a float64 array, got int64 array"),
+            ({"generator_coefficients": _SIX.generator_coefficients.tolist()},
+             "generator.coefficients: must be a float64 array, got list"),
             ({"generator_coefficients": _SIX.generator_coefficients[:5]},
              "generator.coefficients: must list one [alpha, beta, gamma] per config"),
             # an unknown metric used to be read as loss

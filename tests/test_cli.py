@@ -20,6 +20,17 @@ def _synth_args(out, configs=10, b_max=4, seed=0, noise=0.0):
     ]
 
 
+def _write_benchmark(path, name, curves):
+    """A loss benchmark of one hyperparameter holding ``curves``, one per config."""
+    path.write_text(json.dumps({
+        "name": name, "metric": "loss", "b_max": len(curves[0]),
+        "hyperparameters": [{"name": "x", "min": 0.0, "max": 1.0}],
+        "configs": [{"id": i, "values": [i / len(curves)], "curve": curve}
+                    for i, curve in enumerate(curves)],
+    }), encoding="utf-8")
+    return path
+
+
 def _read_csv(path):
     with open(path, encoding="utf-8", newline="") as fh:
         return list(csv.DictReader(fh))
@@ -232,6 +243,39 @@ class TestRun:
             "--out", str(tmp_path / "o"),
         ])
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "curves, method, message",
+        [
+            # best losses of +-1e308: the span overflowed, and the rows read
+            # regret inf, normalized_regret nan
+            ([[1e308, 1e308], [-1e308, -1e308], [0.0, 0.0]], "dpl",
+             "cannot normalize regret: the largest normalized regret, "
+             "(worst loss - oracle) / span, is nan"),
+            # best losses 0, 5e-324 and 1e-323: the span is subnormal, and the
+            # step-1 losses' normalized regret overflowed to inf
+            ([[1.0, 0.0], [1.0, 5e-324], [1.0, 1e-323]], "sh",
+             "cannot normalize regret: the largest normalized regret, "
+             "(worst loss - oracle) / span, is inf"),
+            ([[0.7, 0.5], [0.6, 0.5]], "rs",
+             "is degenerate: all configurations share the same best loss, "
+             "so regret cannot be normalized"),
+        ],
+        ids=["overflowing-span", "subnormal-span", "degenerate"],
+    )
+    def test_unnormalizable_regret_exits_3_before_any_cell(
+        self, bench, tmp_path, capsys, curves, method, message
+    ):
+        # the check used to fire in the bad table's first cell, after the good
+        # table's cells were written (or, for a nonzero span, when the run
+        # aggregated the CSVs it had just written), and left no aggregate
+        bad = _write_benchmark(tmp_path / "bad.json", "bad", curves)
+        out = tmp_path / "o"
+        code = main(["run", "--benchmarks", str(bench), str(bad), "--methods", method,
+                     "--seeds", "0", "--out", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err == f"error: benchmark 'bad' {message}\n"
+        assert not out.exists()
 
     def test_aggregate_matches_report(self, bench, tmp_path):
         out = tmp_path / "results"

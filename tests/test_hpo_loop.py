@@ -10,13 +10,14 @@ from hypothesis import strategies as st
 
 from powerlaw_hpo import hpo_loop
 from powerlaw_hpo.baselines import BASELINE_RUNNERS
-from powerlaw_hpo.benchmarks import evaluate, generate_synthetic, oracle
+from powerlaw_hpo.benchmarks import BenchmarkFormatError, evaluate, generate_synthetic, oracle
 from powerlaw_hpo.history import History, Observation
 from powerlaw_hpo.hpo_loop import (
     RunContext,
     TRAJECTORY_COLUMNS,
     RunSettings,
     incumbent_regret,
+    regret_span,
     run_dpl,
 )
 from powerlaw_hpo.surrogate import DplEnsemble, TrainerSchedule
@@ -222,10 +223,10 @@ class TestRunContext:
         ctx.observe(cid, 5)
         assert ctx.steps_consumed == 5
         # re-reading inside the paid prefix is free and adds nothing
-        before_points = len(ctx.trajectory.points)
+        before_points = len(ctx.points)
         ctx.observe(cid, 3)
         assert ctx.steps_consumed == 5
-        assert len(ctx.trajectory.points) == before_points
+        assert len(ctx.points) == before_points
         assert len(ctx.history) == 2
 
     def test_budget_ceiling_enforced(self, tiny_table):
@@ -242,6 +243,28 @@ class TestRunContext:
         rows = ctx.candidate_pool()
         assert tiny_table.index_of(cid) not in rows
         assert rows == sorted(set(rows)) and len(rows) == tiny_table.n_configs - 1
+
+
+    @pytest.mark.parametrize(
+        "curves, message",
+        [
+            ([[0.7, 0.5], [0.6, 0.5]], "is degenerate: all configurations share the same best loss"),
+            ([[1e308, 1e308], [-1e308, -1e308], [0.0, 0.0]], "normalized regret, .* is nan"),
+            ([[1.0, 0.0], [1.0, 5e-324], [1.0, 1e-323]], "normalized regret, .* is inf"),
+        ],
+        ids=["degenerate", "overflowing-span", "subnormal-span"],
+    )
+    def test_unnormalizable_regret_rejected(self, curves, message):
+        table = generate_synthetic(seed=0, n_configs=len(curves), hp_dim=1, b_max=2)
+        table = dataclasses.replace(table, raw_curves=np.array(curves))
+        with pytest.raises(BenchmarkFormatError, match=f"^benchmark '{table.name}' .*{message}"):
+            regret_span(table)
+        with pytest.raises(BenchmarkFormatError, match=message):
+            RunContext(table, RunSettings(), "rs")
+
+    def test_lone_config_span_is_one(self):
+        table = generate_synthetic(seed=0, n_configs=1, hp_dim=1, b_max=2)
+        assert RunContext(table, RunSettings(), "rs").normalization_span == 1.0
 
 
 class TestRunSettings:
@@ -342,21 +365,12 @@ class TestLoopInvariants:
             seed=seed, n_configs=n_configs, hp_dim=hp_dim, b_max=b_max, noise_std=0.01
         )
         run_settings = RunSettings(seed=seed, budget_multiplier=multiplier)
-        contexts = []
-        init = RunContext.__init__
-
-        def recording_init(ctx, *args, **kwargs):
-            init(ctx, *args, **kwargs)
-            contexts.append(ctx)
-
-        with mock.patch.object(RunContext, "__init__", recording_init):
-            traj = _run_method(method, table, run_settings)
-        (ctx,) = contexts
-        steps = [p.steps_consumed for p in traj.points]
-        incumbents = [p.incumbent_loss for p in traj.points]
+        run = _run_method(method, table, run_settings)
+        steps = [p.steps_consumed for p in run.points]
+        incumbents = [p.incumbent_loss for p in run.points]
         # the points are History's records, replayed here independently
-        records = list(traj.history)
-        assert traj.history is ctx.history and len(traj.points) == len(records)
+        records = list(run.history)
+        assert len(run.points) == len(records)
         paid: dict[int, int] = {}
         total, best = 0, math.inf
         replayed_steps, running_best = [], []
@@ -368,15 +382,15 @@ class TestLoopInvariants:
             running_best.append(best)
         assert steps == replayed_steps
         assert incumbents == running_best
-        assert ctx.steps_consumed == traj.history.steps == steps[-1]
+        assert run.steps_consumed == run.history.steps == steps[-1]
         assert steps, "every method observes at least one configuration"
         assert steps[-1] <= run_settings.resolve_budget(table)
         assert all(a < b for a, b in zip(steps, steps[1:]))
         if method == "dpl":  # the first config at step 1, then one step per observation
             assert steps == list(range(1, len(steps) + 1))
         assert all(a >= b for a, b in zip(incumbents, incumbents[1:]))
-        assert all(p.incumbent_regret >= 0.0 for p in traj.points)
-        assert _run_method(method, table, run_settings).to_rows() == traj.to_rows()
+        assert all(p.incumbent_regret >= 0.0 for p in run.points)
+        assert _run_method(method, table, run_settings).to_rows() == run.to_rows()
 
 
 class TestPoolExhaustion:

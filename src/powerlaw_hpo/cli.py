@@ -32,10 +32,18 @@ from .benchmarks import (
     generate_synthetic,
     load_benchmark,
     oracle,
+    require,
     save_benchmark,
 )
 from .forecasting import ForecastModel, run_forecast_experiment
-from .hpo_loop import TRAJECTORY_COLUMNS, RunContext, RunSettings, regret_span, run_dpl
+from .hpo_loop import (
+    MAX_NORMALIZED_REGRET,
+    TRAJECTORY_COLUMNS,
+    RunContext,
+    RunSettings,
+    regret_span,
+    run_dpl,
+)
 
 METHODS = ("dpl", *BASELINE_RUNNERS)
 FORECAST_MODELS = tuple(m.value for m in ForecastModel)
@@ -94,8 +102,11 @@ def read_trajectory_rows(path: Path) -> list[dict] | None:
                     except ValueError:
                         pass
                 row["steps"] = count(row["steps"], f"{where}: steps", floor=1)
-                row["normalized_regret"] = finite(row["normalized_regret"],
-                                                  f"{where}: normalized_regret")
+                regret = finite(row["normalized_regret"], f"{where}: normalized_regret")
+                # the bound regret_span sets on every run, so the aggregate stays finite
+                require(abs(regret) <= MAX_NORMALIZED_REGRET, f"{where}: normalized_regret",
+                        f"must be at most {MAX_NORMALIZED_REGRET:g} in magnitude, got {regret}")
+                row["normalized_regret"] = regret
                 rows.append(row)
             return rows
     except UnicodeDecodeError as exc:

@@ -8,7 +8,6 @@ integer steps.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -78,14 +77,20 @@ def incumbent_regret(history: History, table: BenchmarkTable) -> float:
     return history.best_loss - oracle(table)
 
 
+# the aggregate sums its runs' normalized regrets and their squared deviations;
+# below this bound neither sum overflows for fewer than 1e8 runs
+MAX_NORMALIZED_REGRET = 1e150
+
+
 def regret_span(table: BenchmarkTable) -> float:
     """The best-to-worst span of per-config best losses, which normalizes regret.
 
     A lone config's span is 1.0.  BenchmarkFormatError names the benchmark
     when several configs share one best loss (the span is 0), or when the
-    largest normalized regret, (worst loss - oracle) / span, is not finite:
-    the span or that difference overflows, or the span is so small that
-    the quotient does.  Every run's normalized regret is then finite.
+    largest normalized regret, (worst loss - oracle) / span, is not finite
+    (the span or that difference overflows, or the span is so small that
+    the quotient does) or is above MAX_NORMALIZED_REGRET.  Every run's
+    normalized regret is then finite, and so are its aggregate's sums.
     """
     best = table.loss_curves.min(axis=1)
     lowest = float(best.min())
@@ -98,10 +103,11 @@ def regret_span(table: BenchmarkTable) -> float:
     span = span if span > 0 else 1.0
     # Python floats overflow to inf quietly, where numpy scalars would warn
     largest = (float(table.loss_curves.max()) - lowest) / span
-    if not math.isfinite(largest):
+    if not largest <= MAX_NORMALIZED_REGRET:
         raise BenchmarkFormatError(
             f"benchmark {table.name!r} cannot normalize regret: the largest normalized "
-            f"regret, (worst loss - oracle) / span, is {largest}"
+            f"regret, (worst loss - oracle) / span, is {largest}; it must be at most "
+            f"{MAX_NORMALIZED_REGRET:g}"
         )
     return span
 

@@ -14,7 +14,13 @@ and ``backward`` writes into its parameters.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import shutil
+import subprocess
+import tempfile
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -174,8 +180,71 @@ class AdamState:
         return cls(first_moment=np.zeros_like(param), second_moment=np.zeros_like(param), lr=lr)
 
 
+# adam_step's element loop as one sweep, with the numpy passes' operations in
+# their order.  When two buffers overlap it touches nothing and returns 1:
+# the passes, which finish each operation on all elements before the next,
+# then do the step.
+_ADAM_SOURCE = r"""
+#include <math.h>
+#include <stddef.h>
+#include <stdint.h>
+
+static int apart(const double *a, const double *b, size_t n) {
+    uintptr_t x = (uintptr_t)a, y = (uintptr_t)b, len = n * sizeof(double);
+    return x + len <= y || y + len <= x;
+}
+
+int adam_update(double *p, const double *g, double *m, double *v, size_t n,
+                double b1, double c1, double b2, double c2, double bc2, double eps,
+                double scale) {
+    if (!(apart(p, g, n) && apart(p, m, n) && apart(p, v, n) && apart(g, m, n)
+          && apart(g, v, n) && apart(m, v, n)))
+        return 1;
+    for (size_t i = 0; i < n; i++) {
+        double gi = g[i], mi = m[i] * b1 + gi * c1, vi = v[i] * b2 + (gi * gi) * c2;
+        m[i] = mi;
+        v[i] = vi;
+        p[i] = p[i] - mi / (sqrt(vi / bc2) + eps) * scale;
+    }
+    return 0;
+}
+"""
+# no FMA contraction and no fast-math, so every operation rounds as numpy's does;
+# without errno, sqrt vectorizes
+_ADAM_BUILD = ("-O3", "-march=native", "-ffp-contract=off", "-fno-math-errno", "-shared", "-fPIC")
+
+
+@functools.cache
+def adam_kernel():
+    """The compiled Adam loop, built by the first call in each process, or
+    None when no C compiler builds and loads it (``adam_step`` then runs its
+    numpy passes).  The library lives in a temporary directory that is
+    removed once it is loaded."""
+    cc = shutil.which("cc")
+    if cc is None:
+        return None
+    with tempfile.TemporaryDirectory() as tmp:
+        lib = Path(tmp) / "adam.so"
+        try:
+            subprocess.run([cc, *_ADAM_BUILD, "-x", "c", "-", "-o", str(lib)],
+                           input=_ADAM_SOURCE, text=True, capture_output=True,
+                           check=True, timeout=60)
+            kernel = ctypes.CDLL(str(lib)).adam_update
+        except (OSError, subprocess.SubprocessError):
+            return None
+    kernel.argtypes = [ctypes.c_void_p] * 4 + [ctypes.c_size_t] + [ctypes.c_double] * 7
+    kernel.restype = ctypes.c_int
+    return kernel
+
+
 def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState) -> None:
-    """One bias-corrected Adam update, applied to ``param`` in place."""
+    """One bias-corrected Adam update, applied to ``param`` in place.
+
+    The compiled loop of ``adam_kernel`` does the update when every operand
+    is an aligned, writeable, C-contiguous float64 array of ``param``'s
+    shape and no two overlap; otherwise, or without a compiler, the numpy
+    passes below do.  Both give the same bits.
+    """
     if param.shape != grad.shape:
         raise ValueError(f"gradient shape {grad.shape} does not match parameter {param.shape}")
     state.step_count += 1
@@ -184,6 +253,14 @@ def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState) -> None:
     bc2 = 1.0 - ADAM_BETA2**t
     scale = state.lr / bc1
     m, v, s = state.first_moment, state.second_moment, state._scratch
+    kernel = adam_kernel()
+    if kernel is not None and all(
+        isinstance(a, np.ndarray) and a.dtype == np.float64 and a.shape == param.shape
+        and a.flags.carray for a in (param, grad, m, v)
+    ) and kernel(param.ctypes.data, grad.ctypes.data, m.ctypes.data, v.ctypes.data,
+                 param.size, ADAM_BETA1, 1.0 - ADAM_BETA1, ADAM_BETA2, 1.0 - ADAM_BETA2,
+                 bc2, ADAM_EPSILON, float(scale)) == 0:
+        return
     m *= ADAM_BETA1
     np.multiply(grad, 1.0 - ADAM_BETA1, out=s)
     m += s

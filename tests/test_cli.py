@@ -251,17 +251,22 @@ class TestRun:
             # regret inf, normalized_regret nan
             ([[1e308, 1e308], [-1e308, -1e308], [0.0, 0.0]], "dpl",
              "cannot normalize regret: the largest normalized regret, "
-             "(worst loss - oracle) / span, is nan"),
+             "(worst loss - oracle) / span, is nan; it must be at most 1e+150"),
             # best losses 0, 5e-324 and 1e-323: the span is subnormal, and the
             # step-1 losses' normalized regret overflowed to inf
             ([[1.0, 0.0], [1.0, 5e-324], [1.0, 1e-323]], "sh",
              "cannot normalize regret: the largest normalized regret, "
-             "(worst loss - oracle) / span, is inf"),
+             "(worst loss - oracle) / span, is inf; it must be at most 1e+150"),
+            # a span of 1e-308: the cells' normalized regrets were a finite
+            # 1e308, and their aggregate's mean and stderr overflowed to inf
+            ([[1.0, 0.0], [1.0, 1e-308], [1.0, 5e-309]], "sh",
+             "cannot normalize regret: the largest normalized regret, "
+             "(worst loss - oracle) / span, is 1e+308; it must be at most 1e+150"),
             ([[0.7, 0.5], [0.6, 0.5]], "rs",
              "is degenerate: all configurations share the same best loss, "
              "so regret cannot be normalized"),
         ],
-        ids=["overflowing-span", "subnormal-span", "degenerate"],
+        ids=["overflowing-span", "subnormal-span", "near-max-regret", "degenerate"],
     )
     def test_unnormalizable_regret_exits_3_before_any_cell(
         self, bench, tmp_path, capsys, curves, method, message
@@ -578,6 +583,11 @@ class TestReport:
             ("1", "nan", r"line 2: normalized_regret: must be finite, got nan"),
             ("1", "inf", r"line 2: normalized_regret: must be finite, got inf"),
             ("1", "x", r"line 2: normalized_regret: must be a number, got 'x'"),
+            # the aggregate of two such cells overflowed to inf
+            ("1", "1e308", r"line 2: normalized_regret: must be at most 1e\+150 in "
+                           r"magnitude, got 1e\+308"),
+            ("1", "-2e150", r"line 2: normalized_regret: must be at most 1e\+150 in "
+                            r"magnitude, got -2e\+150"),
         ],
     )
     def test_bad_cell_exits_3_naming_file_line_and_column(

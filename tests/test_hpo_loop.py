@@ -251,8 +251,10 @@ class TestRunContext:
             ([[0.7, 0.5], [0.6, 0.5]], "is degenerate: all configurations share the same best loss"),
             ([[1e308, 1e308], [-1e308, -1e308], [0.0, 0.0]], "normalized regret, .* is nan"),
             ([[1.0, 0.0], [1.0, 5e-324], [1.0, 1e-323]], "normalized regret, .* is inf"),
+            ([[1.0, 0.0], [1.0, 1e-308], [1.0, 5e-309]],
+             r"normalized regret, .* is 1e\+308; it must be at most 1e\+150"),
         ],
-        ids=["degenerate", "overflowing-span", "subnormal-span"],
+        ids=["degenerate", "overflowing-span", "subnormal-span", "near-max-regret"],
     )
     def test_unnormalizable_regret_rejected(self, curves, message):
         table = generate_synthetic(seed=0, n_configs=len(curves), hp_dim=1, b_max=2)

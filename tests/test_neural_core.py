@@ -1,6 +1,15 @@
+import ctypes
+import shutil
+import subprocess
+import tempfile
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from powerlaw_hpo import neural_core
 from powerlaw_hpo.neural_core import (
     AdamState,
     DenseNetwork,
@@ -187,6 +196,193 @@ class TestAdam:
         state = AdamState.for_params(p)
         with pytest.raises(ValueError):
             adam_step(p, np.zeros(4), state)
+
+
+def _passes_step(param, grad, state, codes=None):
+    """``adam_step`` through its numpy passes; ``codes`` is left as it is, so
+    that both helpers take the same arguments."""
+    with mock.patch.object(neural_core, "adam_kernel", lambda: None):
+        adam_step(param, grad, state)
+
+
+def _kernel_step(param, grad, state, codes=None) -> list[int]:
+    """``adam_step`` as it runs; appends the kernel's return code to ``codes``,
+    which it returns: empty when the passes ran alone, [1] when the kernel
+    handed the step back to them."""
+    kernel = neural_core.adam_kernel()
+    codes = [] if codes is None else codes
+
+    def spy(*args):
+        codes.append(kernel(*args))
+        return codes[-1]
+
+    with mock.patch.object(neural_core, "adam_kernel", lambda: spy):
+        adam_step(param, grad, state)
+    return codes
+
+
+def _same_bits(a, b) -> bool:
+    """Equal bit patterns, except that any NaN matches any NaN."""
+    nan = np.isnan(a)
+    return (a.shape == b.shape and np.array_equal(nan, np.isnan(b))
+            and np.array_equal(a[~nan].view(np.uint64), b[~nan].view(np.uint64)))
+
+
+_EXTREMES = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-300, -1e-300, 1.0,
+                      1e300, -1e300, np.inf, -np.inf, np.nan])
+
+
+@st.composite
+def _adam_cases(draw):
+    """Parameters, moments and a few gradients, with magnitudes from ordinary
+    to the float limits and a share of zeros, subnormals, infinities and NaNs."""
+    # 17,541 is a DPL member's size; 1-70 covers every vector remainder
+    n = draw(st.one_of(st.integers(1, 70), st.just(17541)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spread = draw(st.sampled_from([0, 3, 320]))
+    share = draw(st.sampled_from([0.0, 0.05, 0.5, 1.0]))
+
+    def vector():
+        x = rng.standard_normal(n) * 10.0 ** rng.integers(-spread, min(spread, 300) + 1, n)
+        pick = rng.random(n) < share
+        x[pick] = rng.choice(_EXTREMES, int(pick.sum()))
+        return x
+
+    param, first = vector(), vector()
+    second = np.abs(vector()) if draw(st.booleans()) else vector()
+    grads = [vector() for _ in range(draw(st.integers(1, 4)))]
+    lr = draw(st.floats(1e-6, 10.0))
+    # from step 37,412 on, 1 - 0.999**t rounds to 1.0
+    step_count = draw(st.integers(0, 40_000))
+    return param, first, second, grads, lr, step_count
+
+
+needs_compiler = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+
+
+@pytest.fixture
+def fresh_kernel():
+    """The next ``adam_kernel()`` call builds again, and so does the first
+    one after the test."""
+    neural_core.adam_kernel.cache_clear()
+    yield
+    neural_core.adam_kernel.cache_clear()
+
+
+class TestAdamKernel:
+    def test_kernel_loads_when_a_compiler_is_found(self):
+        # a broken build would otherwise pass every test, only slower
+        assert (neural_core.adam_kernel() is not None) == (shutil.which("cc") is not None)
+
+    @needs_compiler
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(_adam_cases())
+    def test_matches_numpy_passes_bit_for_bit(self, case):
+        param, first, second, grads, lr, step_count = case
+        runs, codes = [], []
+        for step in (_kernel_step, _passes_step):
+            p = param.copy()
+            state = AdamState(first.copy(), second.copy(), step_count=step_count, lr=lr)
+            with np.errstate(all="ignore"):
+                for g in grads:
+                    step(p, g, state, codes)
+            runs.append((p, state.first_moment, state.second_moment))
+        assert codes == [0] * len(grads)
+        for kernel_array, passes_array in zip(*runs):
+            assert _same_bits(kernel_array, passes_array)
+
+    @needs_compiler
+    def test_kernel_runs_on_member_operands(self):
+        # the operands of DplNetwork.train_batch
+        net = DplNetwork(hp_dim=2, seed=0)
+        assert net.body.flat_params.size == 17541
+        assert _kernel_step(net.body.flat_params, net._grad.flat_params, net.adam) == [0]
+
+    @pytest.mark.parametrize("make_operands", [
+        # read-only param: the passes update the moments, then refuse the write
+        lambda: (np.arange(5.0), np.ones(5), AdamState.for_params(np.zeros(5)), "read-only"),
+        # a moment vector one entry long: the passes' broadcast fails
+        lambda: (np.arange(5.0), np.ones(5),
+                 AdamState(np.zeros(6), np.zeros(6)), None),
+        # a strided gradient: the passes take it as it is
+        lambda: (np.arange(5.0), np.linspace(-1.0, 1.0, 10)[::2],
+                 AdamState.for_params(np.zeros(5)), None),
+        # a float32 moment
+        lambda: (np.arange(5.0), np.ones(5),
+                 AdamState(np.zeros(5, np.float32), np.zeros(5)), None),
+    ], ids=["read-only-param", "long-moment", "strided-grad", "float32-moment"])
+    def test_other_operands_take_the_numpy_passes(self, make_operands):
+        outcomes, codes = [], []
+        for step in (_kernel_step, _passes_step):
+            param, grad, state, lock = make_operands()
+            if lock:
+                param.flags.writeable = False
+            try:
+                step(param, grad, state, codes)
+                error = None
+            except ValueError as exc:
+                error = str(exc)
+            outcomes.append((error, param.copy(), state.first_moment.copy(),
+                             state.second_moment.copy(), state.step_count))
+        assert codes == []  # the kernel was never called
+        (error, *arrays), (passes_error, *passes_arrays) = outcomes
+        assert error == passes_error
+        assert all(np.array_equal(a, b) for a, b in zip(arrays, passes_arrays))
+
+    @needs_compiler
+    def test_overlapping_buffers_are_handed_to_the_numpy_passes(self):
+        # the gradient is the first moment itself: the passes scale it before
+        # they read it, which one sweep element by element would not do
+        runs, codes = [], []
+        for step in (_kernel_step, _passes_step):
+            param, state = np.arange(6.0), AdamState.for_params(np.zeros(6))
+            state.first_moment[...] = np.linspace(-1.0, 1.0, 6)
+            step(param, state.first_moment, state, codes)
+            runs.append((param, state.first_moment, state.second_moment))
+        assert codes == [1]
+        assert all(np.array_equal(a, b) for a, b in zip(*runs))
+
+    @pytest.mark.parametrize("failure", [
+        "compiler-error", "compiler-timeout", "compiler-missing", "load-error",
+    ])
+    def test_failed_build_falls_back_and_cleans_up(
+        self, monkeypatch, tmp_path, fresh_kernel, failure
+    ):
+        def fail(*args, **kwargs):
+            raise {"compiler-error": subprocess.CalledProcessError(1, "cc"),
+                   "compiler-timeout": subprocess.TimeoutExpired("cc", 60),
+                   "compiler-missing": FileNotFoundError("cc"),
+                   "load-error": OSError("cannot load")}[failure]
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        monkeypatch.setattr(shutil, "which", lambda name: "cc")
+        if failure == "load-error":
+            monkeypatch.setattr(subprocess, "run", lambda *args, **kwargs: None)
+            monkeypatch.setattr(ctypes, "CDLL", fail)
+        else:
+            monkeypatch.setattr(subprocess, "run", fail)
+        assert neural_core.adam_kernel() is None
+        assert list(tmp_path.iterdir()) == []
+        p, q = np.linspace(-1.0, 1.0, 7), np.linspace(-1.0, 1.0, 7)
+        sp, sq = AdamState.for_params(p), AdamState.for_params(q)
+        for g in (np.full(7, 0.3), np.linspace(2.0, -2.0, 7)):
+            adam_step(p, g, sp)
+            _passes_step(q, g, sq)
+        assert np.array_equal(p, q) and np.array_equal(sp.second_moment, sq.second_moment)
+
+    @needs_compiler
+    def test_bad_flag_falls_back(self, monkeypatch, tmp_path, fresh_kernel):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        monkeypatch.setattr(neural_core, "_ADAM_BUILD",
+                            neural_core._ADAM_BUILD + ("-fno-such-flag",))
+        assert neural_core.adam_kernel() is None
+        assert list(tmp_path.iterdir()) == []
+
+    @needs_compiler
+    def test_build_leaves_no_file(self, monkeypatch, tmp_path, fresh_kernel):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        assert neural_core.adam_kernel() is not None
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestInitWeights:

@@ -26,8 +26,8 @@ import numpy as np
 
 
 class BenchmarkFormatError(ValueError):
-    """Input that breaks a rule (a benchmark file, a snapshot or an argument),
-    with a field-path diagnostic."""
+    """Input that breaks a rule (a benchmark file, a trajectory CSV or an
+    argument), with a field-path diagnostic."""
 
 
 def require(cond: bool, path: str, msg: str):
@@ -94,11 +94,6 @@ def field(doc: dict, key: str, path: str = "", kind: type | None = None):
     if key not in doc:
         raise BenchmarkFormatError(f"{_at(path, key)}: missing")
     return doc[key] if kind is None else node(doc[key], kind, _at(path, key))
-
-
-def reject_unknown(doc: dict, known, path: str = "") -> None:
-    unknown = set(doc) - set(known)
-    require(not unknown, _at(path, min(unknown, default="")), "unknown field")
 
 
 @dataclass(frozen=True)

@@ -76,9 +76,14 @@ def write_trajectory_csv(run: RunContext, out_dir: Path) -> Path:
     return path
 
 
+def _cell(row: dict) -> tuple[str, str, str]:
+    return row["method"], row["dataset"], row["seed"]
+
+
 def read_trajectory_rows(path: Path) -> list[dict] | None:
     """Rows of one trajectory CSV, with ``steps`` and ``normalized_regret`` parsed;
-    None for an aggregate, known by its header row (AGGREGATE_COLUMNS) whatever its name."""
+    None for an aggregate, known by its header row (AGGREGATE_COLUMNS) whatever its name.
+    Within each (method, dataset, seed) cell, ``steps`` must rise strictly from row to row."""
     try:
         with open(path, encoding="utf-8", newline="") as fh:
             reader = csv.DictReader(fh)
@@ -90,7 +95,7 @@ def read_trajectory_rows(path: Path) -> list[dict] | None:
                     f"{path}: expected trajectory columns {TRAJECTORY_COLUMNS}, "
                     f"got {reader.fieldnames}"
                 )
-            rows = []
+            rows, last_steps = [], {}
             for row in reader:
                 where = f"{path}: line {reader.line_num}"
                 if None in row or None in row.values():
@@ -101,7 +106,14 @@ def read_trajectory_rows(path: Path) -> list[dict] | None:
                         row[column] = parse(row[column])
                     except ValueError:
                         pass
-                row["steps"] = count(row["steps"], f"{where}: steps", floor=1)
+                steps = row["steps"] = count(row["steps"], f"{where}: steps", floor=1)
+                cell = _cell(row)
+                previous = last_steps.get(cell, 0)
+                if steps <= previous:
+                    raise BenchmarkFormatError(
+                        f"{where}: steps: must rise within its cell, got {steps} after {previous}"
+                    )
+                last_steps[cell] = steps
                 regret = finite(row["normalized_regret"], f"{where}: normalized_regret")
                 # the bound regret_span sets on every run, so the aggregate stays finite
                 require(abs(regret) <= MAX_NORMALIZED_REGRET, f"{where}: normalized_regret",
@@ -182,11 +194,20 @@ def cmd_run(args) -> int:
 
 
 def _aggregate_directory(in_dir: Path, files: list[Path], out_path: Path) -> int:
-    """Aggregate the trajectory CSVs among ``files`` of ``in_dir`` into ``out_path``."""
-    tables = [t for t in map(read_trajectory_rows, files) if t is not None]
+    """Aggregate the trajectory CSVs among ``files`` of ``in_dir`` into ``out_path``;
+    a (method, dataset, seed) cell found in two files is an error, not two runs."""
+    tables = {path: t for path in files if (t := read_trajectory_rows(path)) is not None}
     if not tables:
         raise BenchmarkFormatError(f"no trajectory CSVs in {in_dir}")
-    rows = [row for table in tables for row in table]
+    owner: dict[tuple[str, str, str], Path] = {}
+    for path, table in tables.items():
+        for cell in dict.fromkeys(map(_cell, table)):
+            first = owner.setdefault(cell, path)
+            if first != path:
+                raise BenchmarkFormatError(
+                    f"{first} and {path}: both hold the (method, dataset, seed) cell {cell}"
+                )
+    rows = [row for table in tables.values() for row in table]
     if not rows:
         raise BenchmarkFormatError(f"{in_dir}: the trajectory CSVs hold no rows")
     _write_csv(out_path, AGGREGATE_COLUMNS, aggregate_trajectory_rows(rows))

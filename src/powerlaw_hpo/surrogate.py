@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .benchmarks import BenchmarkFormatError, count, field, node, numbers, reject_unknown, require
+from .benchmarks import count
 from .neural_core import (
     AdamState,
     DenseNetwork,
@@ -82,6 +82,16 @@ def should_restart(stagnation: Stagnation, current_fit_loss: float) -> bool:
     return stagnation.iterations_since_improvement > stagnation.threshold
 
 
+def _rows_and_budgets(configs, b_norm) -> tuple[np.ndarray, np.ndarray]:
+    """``configs`` as float rows, and ``b_norm`` broadcast to one budget per
+    row; a budget outside (0, 1], NaN included, raises ValueError."""
+    configs = np.atleast_2d(np.asarray(configs, dtype=float))
+    b = np.broadcast_to(np.asarray(b_norm, dtype=float), (configs.shape[0],))
+    if not np.all((b > 0) & (b <= 1)):
+        raise ValueError("normalized budgets must lie in (0, 1]")
+    return configs, b
+
+
 @dataclass(frozen=True)
 class TrainingData:
     """Observed (config vector, normalized budget, loss) triples."""
@@ -97,8 +107,7 @@ class TrainingData:
         n = self.configs.shape[0]
         if self.budgets.shape != (n,) or self.losses.shape != (n,):
             raise ValueError("configs/budgets/losses row counts differ")
-        if n and (self.budgets.min() <= 0 or self.budgets.max() > 1):
-            raise ValueError("budgets must be normalized to (0, 1]")
+        _rows_and_budgets(self.configs, self.budgets)
 
     def __len__(self) -> int:
         return self.configs.shape[0]
@@ -150,10 +159,7 @@ class DplNetwork:
         self.adam = AdamState.for_params(self.body.flat_params)
 
     def predict(self, configs: np.ndarray, b_norm) -> np.ndarray:
-        configs = np.atleast_2d(np.asarray(configs, dtype=float))
-        b = np.broadcast_to(np.asarray(b_norm, dtype=float), (configs.shape[0],))
-        if np.any(b <= 0) or np.any(b > 1):
-            raise ValueError("normalized budget must lie in (0, 1]")
+        configs, b = _rows_and_budgets(configs, b_norm)
         raw, _ = forward(self.body, configs)
         with np.errstate(over="ignore", invalid="ignore"):
             pred, _ = _power_law_head(raw, b)
@@ -202,8 +208,7 @@ class ConditionedNetwork:
         return np.column_stack([configs, b])
 
     def predict(self, configs: np.ndarray, b_norm) -> np.ndarray:
-        configs = np.atleast_2d(np.asarray(configs, dtype=float))
-        b = np.broadcast_to(np.asarray(b_norm, dtype=float), (configs.shape[0],))
+        configs, b = _rows_and_budgets(configs, b_norm)
         out, _ = forward(self.body, self._stack(configs, b))
         return out[:, 0]
 
@@ -269,9 +274,8 @@ class DplEnsemble:
 
     All randomness is derived from the ensemble seed, a per-member index
     and monotone round counters, so fits, refinements and restarts are
-    reproducible and snapshots can resume mid-run.  The four shape
-    arguments must be ``int`` (not bool, float or a numpy integer); ``seed``
-    is >= 0 and the others are >= 1.
+    reproducible.  The four shape arguments must be ``int`` (not bool,
+    float or a numpy integer); ``seed`` is >= 0 and the others are >= 1.
     """
 
     def __init__(
@@ -281,10 +285,10 @@ class DplEnsemble:
         n_members: int = DEFAULT_ENSEMBLE_SIZE,
         hidden_width: int = HIDDEN_WIDTH,
     ):
-        self.hp_dim = count(hp_dim, "hp_dim", floor=1)
+        count(hp_dim, "hp_dim", floor=1)
         self.seed = count(seed, "seed")
-        self.n_members = count(n_members, "n_members", floor=1)
-        self.hidden_width = count(hidden_width, "hidden_width", floor=1)
+        count(n_members, "n_members", floor=1)
+        count(hidden_width, "hidden_width", floor=1)
         self.init_round = 0
         self.fit_round = 0
         self.members = [
@@ -343,95 +347,3 @@ class DplEnsemble:
         mean = preds[0] + dev_mean
         var = np.maximum(np.mean(dev * dev, axis=0) - dev_mean**2, 0.0)
         return mean, var
-
-
-SNAPSHOT_VERSION = 4
-
-
-def ensemble_snapshot(ensemble: DplEnsemble) -> dict:
-    """Versioned JSON-serializable snapshot (seeds, counters, parameters).
-
-    Only ensemble state that cannot be derived is stored: a member's init
-    seed follows from the ensemble seed and ``init_round``, its layer sizes
-    from ``hp_dim`` and ``hidden_width``, and its Adam learning rate is
-    ``AdamState``'s default.  The ``TrainerSchedule`` belongs to the
-    caller, who passes it to every fit.
-    """
-    members = []
-    for m in ensemble.members:
-        members.append(
-            {
-                "params": m.body.flat_params.tolist(),
-                "adam": {
-                    "first_moment": m.adam.first_moment.tolist(),
-                    "second_moment": m.adam.second_moment.tolist(),
-                    "step_count": m.adam.step_count,
-                },
-            }
-        )
-    return {
-        "version": SNAPSHOT_VERSION,
-        "seed": ensemble.seed,
-        "hp_dim": ensemble.hp_dim,
-        "n_members": ensemble.n_members,
-        "hidden_width": ensemble.hidden_width,
-        "init_round": ensemble.init_round,
-        "fit_round": ensemble.fit_round,
-        "members": members,
-    }
-
-
-def _snapshot_vector(doc: dict, key: str, size: int, k: int, sub: str = "") -> np.ndarray:
-    """``members[k]{sub}.{key}``: a list of ``size`` finite JSON numbers."""
-    parent = f"members[{k}]{sub}"
-    values = field(doc, key, parent, list)
-    vec = np.asarray(numbers(values, "members", k, f"{sub}.{key}"))
-    path = f"{parent}.{key}"
-    require(vec.shape == (size,), path, f"expected {size} values, got shape {vec.shape}")
-    require(np.all(np.isfinite(vec)), path, "non-finite value")
-    return vec
-
-
-def ensemble_from_snapshot(doc: dict) -> DplEnsemble:
-    """Rebuild an ensemble from a snapshot document.
-
-    Raises BenchmarkFormatError, a ValueError, naming the field
-    (``snapshot`` for the document itself, ``fit_round``,
-    ``members[k].adam.<key>``, ``members[k].params[i]``) when a field is
-    missing or unknown, has the wrong JSON type (the document, each member
-    and its ``adam`` are objects, ``members`` is a list, each vector a list
-    of numbers), does not fit the ensemble, holds a non-finite value or an
-    integer too large for a float, or is a count that is not an integer or
-    is below its floor (0 for the round counters and ``step_count``).
-    ``DplEnsemble`` itself checks the four shape fields.  Documents of
-    another version, or whose version is not the int 4, are rejected.
-    """
-    node(doc, dict, "snapshot")
-    version = field(doc, "version")
-    if type(version) is not int or version != SNAPSHOT_VERSION:
-        raise BenchmarkFormatError(f"unsupported snapshot version {version!r}")
-    shape = ("hp_dim", "seed", "n_members", "hidden_width")
-    counters = ("init_round", "fit_round")
-    reject_unknown(doc, ("version", "members", *shape, *counters))
-    ens = DplEnsemble(**{key: field(doc, key) for key in shape})
-    for key in counters:
-        setattr(ens, key, count(field(doc, key), key))
-    mdocs = field(doc, "members", kind=list)
-    require(len(mdocs) == ens.n_members, "members",
-            f"expected {ens.n_members} entries, got {len(mdocs)}")
-    for k, (member, mdoc) in enumerate(zip(ens.members, mdocs)):
-        path = f"members[{k}]"
-        node(mdoc, dict, path)
-        reject_unknown(mdoc, ("params", "adam"), path)
-        flat = member.body.flat_params
-        flat[...] = _snapshot_vector(mdoc, "params", flat.size, k)
-        adam = field(mdoc, "adam", path, dict)
-        path += ".adam"
-        reject_unknown(adam, ("first_moment", "second_moment", "step_count"), path)
-        moments = {
-            name: _snapshot_vector(adam, name, flat.size, k, ".adam")
-            for name in ("first_moment", "second_moment")
-        }
-        step_count = count(field(adam, "step_count", path), f"{path}.step_count")
-        member.adam = AdamState(**moments, step_count=step_count)
-    return ens

@@ -616,6 +616,55 @@ class TestReport:
         assert main(["report", "--in", str(in_dir), "--out", str(tmp_path / "x.csv")]) == 3
         assert f"{path}: line 2: expected 8 fields" in capsys.readouterr().err
 
+    def test_cell_in_two_files_exits_3(self, tmp_path, capsys):
+        # a copy of another run of the same cell, under another name, is not a second run
+        bench = tmp_path / "bench.json"
+        assert main(_synth_args(bench, configs=12, b_max=4, noise=0.01)) == 0
+        runs = {}
+        for multiplier in ("2", "3"):
+            out = runs[multiplier] = tmp_path / f"x{multiplier}"
+            assert main(["run", "--benchmarks", str(bench), "--methods", "rs", "--seeds", "0",
+                         "--budget-multiplier", multiplier, "--out", str(out)]) == 0
+        first = next(runs["2"].glob("rs__*__seed0.csv"))
+        copy = runs["2"] / "zz_copy.csv"
+        copy.write_bytes(next(runs["3"].glob("rs__*__seed0.csv")).read_bytes())
+        dataset = _read_csv(first)[0]["dataset"]
+        out = tmp_path / "agg.csv"
+        assert main(["report", "--in", str(runs["2"]), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            f"error: {first} and {copy}: both hold the (method, dataset, seed) cell "
+            f"('rs', '{dataset}', '0')\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "steps, message",
+        [((1, 2, 2), "line 4: steps: must rise within its cell, got 2 after 2"),
+         ((1, 3, 2), "line 4: steps: must rise within its cell, got 2 after 3"),
+         ((2, 1), "line 3: steps: must rise within its cell, got 1 after 2")],
+    )
+    def test_steps_not_rising_exit_3(self, tmp_path, capsys, steps, message):
+        in_dir = tmp_path / "in"
+        in_dir.mkdir()
+        path = in_dir / "rs__d__seed0.csv"
+        _write_trajectory(path, "rs", "d", 0, [(s, 0.5) for s in steps])
+        out = tmp_path / "x.csv"
+        assert main(["report", "--in", str(in_dir), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+        assert not out.exists()
+
+    def test_file_of_several_cells_accepted(self, tmp_path):
+        # steps rise within each cell; the cells of one file may interleave
+        in_dir = tmp_path / "in"
+        in_dir.mkdir()
+        path = in_dir / "both.csv"
+        _write_trajectory(path, "rs", "d", 0, [(1, 0.4), (3, 0.2)])
+        with open(path, "a", encoding="utf-8", newline="") as fh:
+            fh.write("1,rs,d,2,0.0,0.3,0.3,0.3\n1,rs,d,4,0.0,0.1,0.1,0.1\n")
+        out = tmp_path / "x.csv"
+        assert main(["report", "--in", str(in_dir), "--out", str(out)]) == 0
+        assert {r["n_runs"] for r in _read_csv(out)} == {"2"}
+
 
 def _carried_value(points, step):
     """The value at the largest step <= ``step`` (the last of its repeats in

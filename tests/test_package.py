@@ -2,8 +2,7 @@
 
 A name deleted from a module but still listed in ``__all__`` or still
 imported in the README's "Library entry points" block fails here, and so
-does a change to the snapshot API that the README's snapshot usage misses,
-and so does a benchmark hook that the README's "Refactor gate" list omits.
+does a benchmark hook that the README's "Refactor gate" list omits.
 """
 
 import re
@@ -32,10 +31,6 @@ def _run_readme_block(after: str) -> None:
 
 def test_readme_library_block_imports():
     _run_readme_block("## Library entry points")
-
-
-def test_readme_snapshot_block_runs():
-    _run_readme_block("Ensemble snapshots (")
 
 
 def test_readme_refactor_gate_lists_every_hooked_name():

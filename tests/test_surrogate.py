@@ -1,7 +1,6 @@
-import json
 import math
 import re
-from dataclasses import asdict, fields
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -18,19 +17,12 @@ from powerlaw_hpo.surrogate import (
     TrainingData,
     _power_law_head,
     _power_law_head_backward,
-    ensemble_from_snapshot,
-    ensemble_snapshot,
     member_init_seed,
     should_restart,
     train_member_epochs,
 )
 
 from helpers import max_relative_error
-
-
-def _json_round_trip(ens):
-    """Restore an ensemble from its snapshot after a trip through JSON text."""
-    return ensemble_from_snapshot(json.loads(json.dumps(ensemble_snapshot(ens))))
 
 
 def _power_law_data(seed=1, n_configs=6, budgets=(0.25, 0.5, 0.75, 1.0)):
@@ -72,12 +64,24 @@ class TestPredictMember:
             alpha_plus_beta = raw[0, 0] + raw[0, 1] * sig
             assert abs(float(member.predict(config, 1.0)[0]) - alpha_plus_beta) <= 1e-12
 
-    def test_budget_domain(self):
-        member = DplNetwork(2, seed=0, hidden_width=8)
-        with pytest.raises(ValueError):
-            member.predict(np.array([0.1, 0.2]), 0.0)
-        with pytest.raises(ValueError):
-            member.predict(np.array([0.1, 0.2]), 1.5)
+    @pytest.mark.parametrize("network", [DplNetwork, ConditionedNetwork])
+    @pytest.mark.parametrize("b", [0.0, -0.5, 1.5, 5.0, math.nan, math.inf, [0.5, math.nan]])
+    def test_budget_domain(self, network, b):
+        # both member types share one rule, and NaN lies outside (0, 1]
+        member = network(2, seed=0, hidden_width=8)
+        with pytest.raises(ValueError, match=r"^normalized budgets must lie in \(0, 1\]$"):
+            member.predict(np.array([[0.1, 0.2], [0.3, 0.4]]), b)
+
+    @pytest.mark.parametrize("network", [DplNetwork, ConditionedNetwork])
+    @pytest.mark.parametrize("b", [1.0, 1e-300, [0.25, 1.0]])
+    def test_budget_domain_edges_accepted(self, network, b):
+        # (0, 1] is open below and closed above; a scalar budget is broadcast
+        # to every row, the same as passing it once per row
+        member = network(2, seed=0, hidden_width=8)
+        configs = np.array([[0.1, 0.2], [0.3, 0.4]])
+        pred = member.predict(configs, b)
+        assert pred.shape == (2,)
+        assert np.array_equal(pred, member.predict(configs, np.broadcast_to(b, (2,))))
 
 
 class TestHeadGradient:
@@ -149,6 +153,15 @@ class TestPosterior:
         assert a_var[0] == pytest.approx(b_var[0], abs=1e-15)
 
 
+class TestPosteriorBudget:
+    @pytest.mark.parametrize("b", [0.0, -0.5, 1.5, math.nan, math.inf, [0.5, math.nan]])
+    def test_budget_outside_unit_interval_rejected(self, b):
+        # a NaN budget raises instead of returning a NaN posterior
+        ens = DplEnsemble(hp_dim=2, seed=0, n_members=2, hidden_width=4)
+        with pytest.raises(ValueError, match=r"^normalized budgets must lie in \(0, 1\]$"):
+            ens.posterior_batch(np.array([[0.1, 0.2], [0.3, 0.4]]), b)
+
+
 class TestFitInitial:
     def test_noiseless_power_law_history(self):
         # measured behavior at the mandated lr: the L1 random-walk floor
@@ -194,25 +207,20 @@ class TestRefine:
         assert log, "instrumented batch log must record batches"
         assert all(newest in batch for batch in log)
 
-    def test_refine_deterministic_from_snapshot(self):
-        # the restored copy keeps training exactly as the original does,
-        # checked after each phase, since a restart wipes the weights and
-        # Adam state that a bad restore would have changed
+    def test_refine_deterministic_from_seed(self):
+        # two ensembles built from one seed train bit for bit alike through
+        # every phase, a restart included
         data = _power_law_data()
         sched = TrainerSchedule.for_curve_length(8, initial_epochs=20)
-        ens = DplEnsemble(hp_dim=2, seed=3, n_members=3, hidden_width=16)
-        ens.fit_initial(data, sched)
-        ens.restart(data, sched)  # so every round counter is past its start
-        ens.refine(data, sched)
-        restored = _json_round_trip(ens)
-        for phase in ("refine", "restart", "refine"):
-            assert getattr(ens, phase)(data, sched) == getattr(restored, phase)(data, sched)
-            for ma, mb in zip(ens.members, restored.members):
+        ens_a, ens_b = (DplEnsemble(hp_dim=2, seed=3, n_members=3, hidden_width=16)
+                        for _ in range(2))
+        for phase in ("fit_initial", "restart", "refine", "refine", "restart", "refine"):
+            assert getattr(ens_a, phase)(data, sched) == getattr(ens_b, phase)(data, sched)
+            for ma, mb in zip(ens_a.members, ens_b.members):
                 assert np.array_equal(ma.body.flat_params, mb.body.flat_params)
                 assert np.array_equal(ma.adam.first_moment, mb.adam.first_moment)
                 assert np.array_equal(ma.adam.second_moment, mb.adam.second_moment)
                 assert ma.adam.step_count == mb.adam.step_count
-            assert json.dumps(ensemble_snapshot(restored)) == json.dumps(ensemble_snapshot(ens))
 
     def test_loss_non_increasing_in_expectation(self):
         # measured: per-seed deltas fluctuate at the optimizer noise floor
@@ -315,206 +323,13 @@ class TestEnsembleShape:
         n_members=st.integers(1, 3),
         hidden_width=st.integers(1, 8),
     )
-    def test_accepted_shape_round_trips(self, hp_dim, seed, n_members, hidden_width):
+    def test_accepted_shape_builds(self, hp_dim, seed, n_members, hidden_width):
         ens = DplEnsemble(hp_dim, seed, n_members=n_members, hidden_width=hidden_width)
-        restored = _json_round_trip(ens)
-        assert ensemble_snapshot(restored) == ensemble_snapshot(ens)
-
-
-class TestSnapshot:
-    def test_round_trip_preserves_predictions(self):
-        data = _power_law_data()
-        sched = TrainerSchedule.for_curve_length(8)
-        ens = DplEnsemble(hp_dim=2, seed=2)
-        ens.fit_initial(data, sched)
-        restored = _json_round_trip(ens)
-        probe = np.array([[0.3, 0.8], [0.9, 0.1]])
-        orig_mean, orig_var = ens.posterior_batch(probe, 1.0)
-        new_mean, new_var = restored.posterior_batch(probe, 1.0)
-        assert np.array_equal(orig_mean, new_mean)
-        assert np.array_equal(orig_var, new_var)
-
-    def test_version_checked(self):
-        ens = DplEnsemble(hp_dim=2, seed=0, hidden_width=4)
-        # v1 kept the stagnation counter in its schedule; v2 stored each
-        # member's init seed, layer sizes and Adam learning rate; v3 stored
-        # the restart count and the caller's schedule
-        for version in (1, 2, 3, 999):
-            doc = ensemble_snapshot(ens)
-            doc["version"] = version
-            with pytest.raises(ValueError):
-                ensemble_from_snapshot(doc)
-
-    def _snapshot(self):
-        ens = DplEnsemble(hp_dim=2, seed=0, n_members=3, hidden_width=4)
-        return ensemble_snapshot(ens)
-
-    def test_short_member_list_rejected(self):
-        doc = self._snapshot()
-        doc["members"] = doc["members"][:2]
-        with pytest.raises(ValueError, match=r"^members: expected 3 entries, got 2$"):
-            ensemble_from_snapshot(doc)
-
-    def test_params_length_checked(self):
-        doc = self._snapshot()
-        doc["members"][0]["params"] = [0.5]
-        with pytest.raises(ValueError, match=r"^members\[0\]\.params: "):
-            ensemble_from_snapshot(doc)
-
-    @pytest.mark.parametrize("moment", ["first_moment", "second_moment"])
-    def test_adam_moment_length_checked(self, moment):
-        doc = self._snapshot()
-        doc["members"][1]["adam"][moment].pop()
-        with pytest.raises(ValueError, match=rf"^members\[1\]\.adam\.{moment}: "):
-            ensemble_from_snapshot(doc)
-
-    def test_missing_adam_rejected(self):
-        doc = self._snapshot()
-        del doc["members"][1]["adam"]
-        with pytest.raises(ValueError, match=r"^members\[1\]\.adam: missing$"):
-            ensemble_from_snapshot(doc)
-
-    def test_non_finite_params_rejected(self):
-        doc = self._snapshot()
-        doc["members"][0]["params"][3] = math.nan
-        with pytest.raises(ValueError, match=r"^members\[0\]\.params: non-finite value$"):
-            ensemble_from_snapshot(doc)
-
-    @pytest.mark.parametrize("moment", ["first_moment", "second_moment"])
-    def test_non_finite_adam_moment_rejected(self, moment):
-        doc = self._snapshot()
-        doc["members"][2]["adam"][moment][0] = -math.inf
-        with pytest.raises(ValueError, match=rf"^members\[2\]\.adam\.{moment}: non-finite value$"):
-            ensemble_from_snapshot(doc)
-
-    def test_negative_step_count_rejected(self):
-        doc = self._snapshot()
-        doc["members"][0]["adam"]["step_count"] = -1
-        with pytest.raises(ValueError, match=r"^members\[0\]\.adam\.step_count: must be >= 0"):
-            ensemble_from_snapshot(doc)
-
-
-    @pytest.mark.parametrize(
-        "key",
-        ["hp_dim", "seed", "n_members", "hidden_width", "init_round", "fit_round", "members"],
-    )
-    def test_missing_top_level_field_rejected(self, key):
-        doc = self._snapshot()
-        del doc[key]
-        with pytest.raises(ValueError, match=rf"^{key}: missing$"):
-            ensemble_from_snapshot(doc)
-
-    @pytest.mark.parametrize("key", ["lr", "init_seed", "layer_dims"])
-    def test_v2_member_key_rejected(self, key):
-        doc = self._snapshot()
-        doc["members"][1][key] = "0.1"
-        with pytest.raises(ValueError, match=rf"^members\[1\]\.{key}: unknown field$"):
-            ensemble_from_snapshot(doc)
-
-    def test_relabelled_v2_member_rejected(self):
-        doc = self._snapshot()
-        # a v2 member, relabelled as v3: the first unknown key in sorted order is named
-        doc["members"][0].update(lr=0.1, init_seed=[0, 0, 0], layer_dims=[2, 4, 4, 3])
-        with pytest.raises(ValueError, match=r"^members\[0\]\.init_seed: unknown field$"):
-            ensemble_from_snapshot(doc)
-
-    def test_unknown_adam_key_rejected(self):
-        doc = self._snapshot()
-        doc["members"][2]["adam"]["lr"] = 0.1
-        with pytest.raises(ValueError, match=r"^members\[2\]\.adam\.lr: unknown field$"):
-            ensemble_from_snapshot(doc)
-
-    def test_unknown_top_level_key_rejected(self):
-        doc = self._snapshot()
-        doc["trainer"] = {}
-        with pytest.raises(ValueError, match=r"^trainer: unknown field$"):
-            ensemble_from_snapshot(doc)
-
-    # keys a v3 snapshot stored: nothing read the count, and the schedule is the caller's
-    V3_KEYS = {"restart_count": 1, "schedule": asdict(TrainerSchedule())}
-
-    @pytest.mark.parametrize("key", list(V3_KEYS))
-    def test_v3_top_level_key_rejected(self, key):
-        doc = self._snapshot()
-        doc[key] = self.V3_KEYS[key]
-        with pytest.raises(ValueError, match=rf"^{key}: unknown field$"):
-            ensemble_from_snapshot(doc)
-
-    @pytest.mark.parametrize(
-        "key, value, message",
-        [
-            ("batch_size", 0, "must be >= 1, got 0"),
-            ("refine_epochs", -1, "must be >= 0, got -1"),
-            ("initial_epochs", "250", "must be an integer, got '250'"),
-        ],
-    )
-    def test_invalid_schedule_value_names_field(self, key, value, message):
-        # a v4 snapshot stores no schedule: the schedule the caller passes to
-        # every fit rejects the values a v3 snapshot checked, naming the field
-        with pytest.raises(ValueError, match=rf"^{key}: {re.escape(message)}$"):
-            TrainerSchedule(**{key: value})
-
-    # the floor of each count a snapshot stores at its top level
-    COUNT_FLOORS = {
-        "init_round": 0, "fit_round": 0,
-        "seed": 0, "hp_dim": 1, "n_members": 1, "hidden_width": 1,
-    }
-
-    @pytest.mark.parametrize("key", list(COUNT_FLOORS))
-    def test_negative_round_counter_rejected(self, key):
-        floor = self.COUNT_FLOORS[key]
-        doc = self._snapshot()
-        for value in (-3, floor - 1):
-            doc[key] = value
-            with pytest.raises(ValueError, match=rf"^{key}: must be >= {floor}, got {value}$"):
-                ensemble_from_snapshot(doc)
-
-    @pytest.mark.parametrize("key", list(COUNT_FLOORS))
-    @pytest.mark.parametrize("value", ["3", 3.0, True, None])
-    def test_non_integer_round_counter_rejected(self, key, value):
-        doc = self._snapshot()
-        doc[key] = value
-        message = rf"^{key}: must be an integer, got {re.escape(repr(value))}$"
-        with pytest.raises(ValueError, match=message):
-            ensemble_from_snapshot(doc)
-
-    @pytest.mark.parametrize(
-        "edit, message",
-        [
-            (lambda doc: doc.update(members=5), "members: must be a list"),
-            (lambda doc: doc.update(members={"a": {}, "b": {}}), "members: must be a list"),
-            (lambda doc: doc["members"].__setitem__(0, 5), "members[0]: must be an object"),
-            (lambda doc: doc["members"][0].update(adam=5), "members[0].adam: must be an object"),
-            (lambda doc: doc["members"][0].update(params="x"), "members[0].params: must be a list"),
-            (lambda doc: doc["members"][0]["adam"]["first_moment"].__setitem__(3, "1"),
-             "members[0].adam.first_moment[3]: must be a number, got '1'"),
-            (lambda doc: doc["members"][1]["params"].__setitem__(3, True),
-             "members[1].params[3]: must be a number, got True"),
-            (lambda doc: doc["members"][1]["params"].__setitem__(0, 10**400),
-             "members[1].params[0]: integer too large for a float"),
-            (lambda doc: doc.update(version=4.0), "unsupported snapshot version 4.0"),
-        ],
-        ids=["members-int", "members-object", "member-int", "adam-int", "params-string",
-             "moment-entry-string", "params-entry-bool", "params-entry-huge-int", "version-float"],
-    )
-    def test_wrong_json_type_names_field(self, edit, message):
-        doc = self._snapshot()
-        edit(doc)
-        with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
-            ensemble_from_snapshot(doc)
-
-    @pytest.mark.parametrize("value", ["3", 2.5, False])
-    def test_non_integer_step_count_rejected(self, value):
-        doc = self._snapshot()
-        doc["members"][1]["adam"]["step_count"] = value
-        message = r"^members\[1\]\.adam\.step_count: must be an integer"
-        with pytest.raises(ValueError, match=message):
-            ensemble_from_snapshot(doc)
-
-    @pytest.mark.parametrize("doc", [5, None, [1], "x"])
-    def test_document_not_an_object_rejected(self, doc):
-        with pytest.raises(ValueError, match=r"^snapshot: must be an object$"):
-            ensemble_from_snapshot(doc)
+        assert len(ens.members) == n_members
+        for k, member in enumerate(ens.members):
+            assert member.body.layer_dims == (hp_dim, hidden_width, hidden_width, 5)
+            fresh = DplNetwork(hp_dim, member_init_seed(seed, k, 0), hidden_width)
+            assert np.array_equal(member.body.flat_params, fresh.body.flat_params)
 
 
 class TestTrainerSchedule:
@@ -540,6 +355,18 @@ class TestTrainerSchedule:
         with pytest.raises(ValueError, match=r"^batch_size: must be >= 1, got 0$"):
             TrainerSchedule(batch_size=0)
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("batch_size", 0, "must be >= 1, got 0"),
+            ("refine_epochs", -1, "must be >= 0, got -1"),
+            ("initial_epochs", "250", "must be an integer, got '250'"),
+        ],
+    )
+    def test_invalid_schedule_value_names_field(self, key, value, message):
+        with pytest.raises(ValueError, match=rf"^{key}: {re.escape(message)}$"):
+            TrainerSchedule(**{key: value})
+
 
 class TestConditionedNetwork:
     def test_zero_network_predicts_zero(self):
@@ -563,11 +390,13 @@ class TestConditionedNetwork:
 
 
 class TestTrainingData:
-    def test_budget_range_enforced(self):
-        with pytest.raises(ValueError):
-            TrainingData(
-                configs=np.zeros((1, 2)), budgets=np.array([1.5]), losses=np.array([0.1])
-            )
+    @pytest.mark.parametrize(
+        "budgets",
+        [[1.5, 0.5], [0.0, 0.5], [math.nan, 0.5], [-0.5, 0.5], [0.5, math.inf], [0.5, 5.0]],
+    )
+    def test_budget_range_enforced(self, budgets):
+        with pytest.raises(ValueError, match=r"^normalized budgets must lie in \(0, 1\]$"):
+            TrainingData(configs=np.zeros((2, 2)), budgets=budgets, losses=[0.1, 0.2])
 
     def test_row_count_mismatch(self):
         with pytest.raises(ValueError):

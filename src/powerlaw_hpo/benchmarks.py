@@ -7,13 +7,14 @@ File format (UTF-8 JSON, no comments): an object with
   b_max: integer
   hyperparameters: [{name, min, max}, ...]
   configs: [{id: int, values: [...], curve: [...]}, ...]
-  generator (optional): {"coefficients": [[alpha, beta, gamma], ...]}
 
-Accuracy-direction curves are assumed to lie in [0, 1] and are converted
-to losses (1 - value) at load time; everything downstream minimizes.
-Loaders for external curve collections should apply any source-specific
-trimming (e.g. dropping unreliable first/last steps) before writing files
-in this format; the loader itself does not alter curves.
+Other keys are ignored.  A table holds loss curves only: the loader reads
+``metric`` and converts accuracy-direction curves (assumed to lie in
+[0, 1]) to losses (1 - value), so everything downstream minimizes, and a
+saved table reads "loss".  Loaders for external curve collections should
+apply any source-specific trimming (e.g. dropping unreliable first/last
+steps) before writing files in this format; the loader itself does not
+otherwise alter curves.
 """
 
 from __future__ import annotations
@@ -100,70 +101,67 @@ def field(doc: dict, key: str, path: str = "", kind: type | None = None):
 class BenchmarkTable:
     """Immutable map from configuration to full learning curve.
 
-    ``raw_curves`` keeps the file's values (in its declared metric
-    direction) so tables round-trip bit-exactly; ``loss_curves``, the
-    minimization-oriented view used everywhere else, and ``scaled_values``
-    are derived from the other fields on construction.  Construction also
-    checks, for a table built in code as for a loaded one, the metric, each
-    id (an ``int`` that no earlier config holds), ``b_max`` (an ``int`` >=
-    1), that the curves, values and coefficients are float64 numpy arrays,
-    and that the shapes of those and of ``bounds`` agree with ``hp_names``,
-    ``b_max`` and the number of configs.
+    ``scaled_values`` is derived from the other fields on construction.
+    Construction also checks, for a table built in code as for a loaded
+    one, each id (an ``int`` that no earlier config holds), ``b_max`` (an
+    ``int`` >= 1), that the curves and values are float64 numpy arrays,
+    that the shapes of those and of ``bounds`` agree with ``hp_names``,
+    ``b_max`` and the number of configs, that each value lies within its
+    bounds and that each curve entry is finite.
     """
 
     name: str
-    metric_direction: str          # "loss" or "accuracy"
     b_max: int
     hp_names: tuple[str, ...]
     bounds: tuple[tuple[float, float], ...]
     config_ids: tuple[int, ...]
     raw_values: np.ndarray         # (n, hp_dim)
-    raw_curves: np.ndarray         # (n, b_max), as stored in the file
-    generator_coefficients: np.ndarray | None = None  # (n, 3) if synthetic
-    loss_curves: np.ndarray = dataclass_field(init=False)    # (n, b_max)
+    loss_curves: np.ndarray        # (n, b_max)
     scaled_values: np.ndarray = dataclass_field(init=False)  # (n, hp_dim), min-max scaled
 
     def __post_init__(self):
-        metric = self.metric_direction
-        require(metric in ("loss", "accuracy"), "metric",
-                f"must be 'loss' or 'accuracy', got {metric!r}")
         index = {}
         for i, cid in enumerate(self.config_ids):
             count(cid, f"configs[{i}].id", floor=-math.inf)  # an id may be negative
             if index.setdefault(cid, i) != i:
                 raise BenchmarkFormatError(f"configs[{i}].id: duplicate config id {cid}")
         count(self.b_max, "b_max", floor=1)
-        gen = self.generator_coefficients
-        for name, arr in (("raw_values", self.raw_values), ("raw_curves", self.raw_curves),
-                          ("generator.coefficients", gen)):
-            if arr is not None and not (isinstance(arr, np.ndarray) and arr.dtype == float):
+        for name, arr in (("raw_values", self.raw_values), ("loss_curves", self.loss_curves)):
+            if not (isinstance(arr, np.ndarray) and arr.dtype == float):
                 got = f"{arr.dtype} array" if isinstance(arr, np.ndarray) else type(arr).__name__
                 raise BenchmarkFormatError(f"{name}: must be a float64 array, got {got}")
         n, hp_dim = self.n_configs, self.hp_dim
         for name, arr, shape in (("bounds", self.bounds, (hp_dim, 2)),
                                  ("raw_values", self.raw_values, (n, hp_dim)),
-                                 ("raw_curves", self.raw_curves, (n, self.b_max))):
+                                 ("loss_curves", self.loss_curves, (n, self.b_max))):
             try:
                 got = np.shape(arr)
             except ValueError:  # numpy gives a ragged nesting no shape
                 got = "a ragged nesting"
             require(got == shape, name, f"must have shape {shape}, got {got}")
-        require(gen is None or np.shape(gen) == (n, 3), "generator.coefficients",
-                "must list one [alpha, beta, gamma] per config")
-        raw = self.raw_curves
-        object.__setattr__(
-            self, "loss_curves", 1.0 - raw if metric == "accuracy" else raw.copy()
-        )
+        lo, hi = np.array(self.bounds).T
+        values = self.raw_values
+        # the first config with a value outside its bounds (NaN included) or
+        # a non-finite curve entry; within a config, its values fail first
+        outside = ~((lo <= values) & (values <= hi))
+        bad = outside.any(axis=1) | ~np.isfinite(self.loss_curves).all(axis=1)
+        if bad.any():
+            i = int(bad.argmax())
+            cid = self.config_ids[i]
+            if outside[i].any():
+                j = int(outside[i].argmax())
+                raise BenchmarkFormatError(
+                    f"configs[{i}].values[{j}]: value {float(values[i, j])} outside bounds"
+                    f" [{self.bounds[j][0]}, {self.bounds[j][1]}] (config id {cid})"
+                )
+            raise BenchmarkFormatError(f"configs[{i}].curve: non-finite value (config id {cid})")
         # min-max scale by the declared bounds (not observed extrema); a
         # degenerate dimension (min == max) maps to 0
-        lo, hi = np.array(self.bounds).T
-        scaled = np.zeros_like(self.raw_values)
-        np.divide(self.raw_values - lo, hi - lo, out=scaled, where=hi > lo)
+        scaled = np.zeros_like(values)
+        np.divide(values - lo, hi - lo, out=scaled, where=hi > lo)
         object.__setattr__(self, "scaled_values", scaled)
-        for arr in (self.raw_values, self.raw_curves, self.loss_curves, self.scaled_values):
+        for arr in (values, self.loss_curves, scaled):
             arr.setflags(write=False)
-        if gen is not None:
-            gen.setflags(write=False)
         object.__setattr__(self, "_id_index", index)
 
     @property
@@ -222,7 +220,7 @@ def _as_table(doc: dict, source: str) -> BenchmarkTable:
     configs = field(doc, "configs", kind=list)
     require(configs, "configs", "must not be empty")
     # the checks below run once per config, so each formats its message
-    # only when it fails; BenchmarkTable checks the ids
+    # only when it fails; BenchmarkTable checks the ids, bounds and finiteness
     ids, values, curves = [], [], []
     for i, cfg in enumerate(configs):
         path = f"configs[{i}]"
@@ -232,47 +230,26 @@ def _as_table(doc: dict, source: str) -> BenchmarkTable:
         if not (isinstance(vals, list) and len(vals) == len(names)):
             raise BenchmarkFormatError(f"{path}.values: must have {len(names)} entries")
         vals = numbers(vals, "configs", i, ".values")
-        for j, (v, (lo, hi)) in enumerate(zip(vals, bounds)):
-            if not lo <= v <= hi:
-                raise BenchmarkFormatError(
-                    f"{path}.values[{j}]: value {v} outside bounds [{lo}, {hi}]"
-                    f" (config id {cid})"
-                )
         if not (isinstance(curve, list) and len(curve) == b_max):
             got = len(curve) if isinstance(curve, list) else "?"
             raise BenchmarkFormatError(
                 f"{path}.curve: expected length b_max={b_max}, got {got} (config id {cid})"
             )
-        curve = numbers(curve, "configs", i, ".curve", cid)
-        if not all(map(math.isfinite, curve)):
-            raise BenchmarkFormatError(f"{path}.curve: non-finite value (config id {cid})")
         ids.append(cid)
         values.append(vals)
-        curves.append(curve)
+        curves.append(numbers(curve, "configs", i, ".curve", cid))
 
-    gen = None
-    if "generator" in doc:
-        path = "generator.coefficients"
-        generator = node(doc["generator"], dict, "generator")
-        coeffs = field(generator, "coefficients", "generator", list)
-        rows = []
-        for i, row in enumerate(coeffs):
-            if not (isinstance(row, list) and len(row) == 3):
-                raise BenchmarkFormatError(f"{path}[{i}]: must be [alpha, beta, gamma]")
-            rows.append(numbers(row, path, i))
-            require(all(map(math.isfinite, rows[-1])), f"{path}[{i}]", "non-finite value")
-        gen = np.asarray(rows, dtype=float)
-
+    require(metric in ("loss", "accuracy"), "metric",
+            f"must be 'loss' or 'accuracy', got {metric!r}")
+    curves = np.asarray(curves, dtype=float)
     return BenchmarkTable(
         name=doc["name"],
-        metric_direction=metric,
         b_max=b_max,
         hp_names=tuple(names),
         bounds=tuple(bounds),
         config_ids=tuple(ids),
         raw_values=np.asarray(values, dtype=float),
-        raw_curves=np.asarray(curves, dtype=float),
-        generator_coefficients=gen,
+        loss_curves=1.0 - curves if metric == "accuracy" else curves,
     )
 
 
@@ -289,9 +266,9 @@ def load_benchmark(path) -> BenchmarkTable:
 
 
 def table_to_document(table: BenchmarkTable) -> dict:
-    doc = {
+    return {
         "name": table.name,
-        "metric": table.metric_direction,
+        "metric": "loss",
         "b_max": table.b_max,
         "hyperparameters": [
             {"name": n, "min": lo, "max": hi}
@@ -300,13 +277,10 @@ def table_to_document(table: BenchmarkTable) -> dict:
         "configs": [
             {"id": cid, "values": vals, "curve": curve}
             for cid, vals, curve in zip(
-                table.config_ids, table.raw_values.tolist(), table.raw_curves.tolist()
+                table.config_ids, table.raw_values.tolist(), table.loss_curves.tolist()
             )
         ],
     }
-    if table.generator_coefficients is not None:
-        doc["generator"] = {"coefficients": table.generator_coefficients.tolist()}
-    return doc
 
 
 def save_benchmark(table: BenchmarkTable, path) -> None:
@@ -320,7 +294,7 @@ def save_benchmark(table: BenchmarkTable, path) -> None:
         fh.write(text)
 
 
-# Coefficient ranges for synthetic curves; curve values stay within (0, 1.5).
+# Coefficient ranges for synthetic curves; curve values stay within (0, 1.5].
 SYNTH_ALPHA_RANGE = (0.05, 0.5)
 SYNTH_BETA_RANGE = (0.3, 1.0)
 SYNTH_GAMMA_RANGE = (0.3, 3.0)
@@ -340,11 +314,11 @@ def generate_synthetic(
     b_max: int = 25,
     noise_std: float = 0.0,
 ) -> BenchmarkTable:
-    """Build a power-law benchmark with stored ground-truth coefficients.
+    """Build a power-law benchmark.
 
     Hyperparameter vectors are uniform in [0,1]^hp_dim and map smoothly to
     (alpha, beta, gamma); curves are alpha + beta * step^(-gamma) over raw
-    steps 1..b_max, plus optional Gaussian noise clipped into (0, 1.5).
+    steps 1..b_max, plus optional Gaussian noise clipped into [1e-6, 1.5].
     The counts must be ``int``s (``seed`` >= 0, the others >= 1) and
     ``noise_std`` a finite number >= 0 (a bool or a numpy float fails), or
     BenchmarkFormatError names the field.
@@ -371,12 +345,10 @@ def generate_synthetic(
         curves = np.clip(curves, 1e-6, 1.5)
     return BenchmarkTable(
         name=f"synthetic-s{seed}-n{n_configs}-d{hp_dim}-b{b_max}",
-        metric_direction="loss",
         b_max=b_max,
         hp_names=tuple(f"x{j}" for j in range(hp_dim)),
         bounds=((0.0, 1.0),) * hp_dim,
         config_ids=tuple(range(n_configs)),
         raw_values=x,
-        raw_curves=curves,
-        generator_coefficients=coeffs,
+        loss_curves=curves,
     )

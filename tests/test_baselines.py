@@ -127,7 +127,7 @@ class TestSuccessiveHalving:
                 {
                     "id": int(cid),
                     "values": base.raw_values[i].tolist(),
-                    "curve": (3.0 * base.raw_curves[i]).tolist(),
+                    "curve": (3.0 * base.loss_curves[i]).tolist(),
                 }
                 for i, cid in enumerate(base.config_ids)
             ],

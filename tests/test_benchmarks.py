@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import math
 
@@ -15,6 +16,7 @@ from powerlaw_hpo.baselines import (
     run_successive_halving,
 )
 from powerlaw_hpo.benchmarks import (
+    SYNTH_GAMMA_RANGE,
     BenchmarkFormatError,
     BenchmarkTable,
     count,
@@ -50,6 +52,13 @@ def _write(tmp_path, doc, name="bench.json"):
     return path
 
 
+def _assert_same_table(a, b):
+    for name in ("raw_values", "loss_curves", "scaled_values"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    for name in ("name", "b_max", "bounds", "hp_names", "config_ids"):
+        assert getattr(a, name) == getattr(b, name), name
+
+
 class TestLoadBenchmark:
     def test_minimal_file(self, tmp_path):
         table = load_benchmark(_write(tmp_path, _minimal_doc()))
@@ -64,7 +73,26 @@ class TestLoadBenchmark:
         ])
         table = load_benchmark(_write(tmp_path, doc))
         assert np.allclose(table.loss_curves[0], [0.4, 0.2])
-        assert np.allclose(table.raw_curves[0], [0.6, 0.8])
+
+    def test_accuracy_table_saves_as_loss(self, tmp_path):
+        loaded = load_benchmark(_write(tmp_path, self.EDGE_DOC))
+        curves = [cfg["curve"] for cfg in self.EDGE_DOC["configs"]]
+        assert np.array_equal(loaded.loss_curves, 1.0 - np.asarray(curves, dtype=float))
+        path = tmp_path / "saved.json"
+        save_benchmark(loaded, path)
+        assert json.loads(path.read_text(encoding="utf-8"))["metric"] == "loss"
+        reloaded = load_benchmark(path)
+        assert reloaded.loss_curves.tobytes() == loaded.loss_curves.tobytes()
+        _assert_same_table(loaded, reloaded)
+
+    @pytest.mark.parametrize("generator", [{"coefficients": [[0.1, 0.8, 1.5]] * 8}, []])
+    def test_generator_block_ignored(self, tmp_path, generator):
+        # older synth files end in this block; it is ignored like any unknown key
+        doc = table_to_document(generate_synthetic(seed=5, n_configs=8, hp_dim=3, b_max=7,
+                                                   noise_std=0.02))
+        plain = load_benchmark(_write(tmp_path, doc, "plain.json"))
+        doc["generator"] = generator
+        _assert_same_table(load_benchmark(_write(tmp_path, doc, "generator.json")), plain)
 
     def test_curve_length_error_names_config(self, tmp_path):
         doc = _minimal_doc(configs=[{"id": 7, "values": [0.5], "curve": [0.9]}])
@@ -105,8 +133,6 @@ class TestLoadBenchmark:
              r"^configs\[0\]\.curve\[0\]: must be a number, got None \(config id 0\)$"),
             (("configs", 0, "curve"), [0.9, "0.5"], r"^configs\[0\]\.curve\[1\]: must be a number"),
             (("configs", 0, "curve"), [False, 0.4], r"^configs\[0\]\.curve\[0\]: must be a number"),
-            (("generator",), {"coefficients": [[0.1, "x", 1.0]]},
-             r"^generator\.coefficients\[0\]\[1\]: must be a number"),
             (("b_max",), True, r"^b_max: must be an integer, got True$"),
             (("configs", 0, "id"), True, r"^configs\[0\]\.id: must be an integer, got True$"),
             (("hyperparameters", 0, "min"), False,
@@ -116,8 +142,6 @@ class TestLoadBenchmark:
             # integers too large for a float: a 401-digit JSON integer
             (("configs", 0, "curve"), [0.9, 10**400],
              r"^configs\[0\]\.curve\[1\]: integer too large for a float \(config id 0\)$"),
-            (("generator",), {"coefficients": [[0.1, -(10**400), 1.0]]},
-             r"^generator\.coefficients\[0\]\[1\]: integer too large for a float$"),
             (("hyperparameters", 0, "max"), 10**400,
              r"^hyperparameters\[0\]\.max: integer too large for a float$"),
         ],
@@ -166,8 +190,7 @@ class TestLoadBenchmark:
         save_benchmark(loaded, second)
         reloaded = load_benchmark(second)
         assert first.read_bytes() == second.read_bytes()
-        assert np.array_equal(loaded.raw_curves, reloaded.raw_curves)
-        assert np.array_equal(loaded.raw_values, reloaded.raw_values)
+        _assert_same_table(loaded, reloaded)
         assert table_to_document(loaded) == table_to_document(reloaded)
 
     EDGE_DOC = _minimal_doc(
@@ -183,14 +206,9 @@ class TestLoadBenchmark:
         ],
     )
 
-    @pytest.mark.parametrize("generator", [None, [[-0.0, 5e-324, 1e308], [0.1, 0.2, 0.3],
-                                                  [1, -2, 1e-17]]])
-    def test_saved_bytes_match_streaming_encoder(self, tmp_path, generator):
-        doc = json.loads(json.dumps(self.EDGE_DOC))
-        if generator is not None:
-            doc["generator"] = {"coefficients": generator}
+    def test_saved_bytes_match_streaming_encoder(self, tmp_path):
         tables = [
-            load_benchmark(_write(tmp_path, doc)),
+            load_benchmark(_write(tmp_path, self.EDGE_DOC)),
             generate_synthetic(seed=4, n_configs=30, hp_dim=3, b_max=9, noise_std=0.05),
         ]
         for table in tables:
@@ -204,19 +222,16 @@ def _good_config(cid):
     return {"id": cid, "values": [0.5, 2], "curve": [0.9, 0.5, 0.3]}
 
 
-def _table_with(bad, index=1, n_configs=3, generator=None):
+def _table_with(bad, index=1, n_configs=3):
     """A two-hyperparameter, b_max 3 table whose ``configs[index]`` is ``bad``."""
     configs = [_good_config(10 + i) for i in range(n_configs)]
     configs[index] = bad
-    doc = _minimal_doc(
+    return _minimal_doc(
         b_max=3,
         hyperparameters=[{"name": "lr", "min": 0.0, "max": 1.0},
                          {"name": "depth", "min": 1, "max": 8}],
         configs=configs,
     )
-    if generator is not None:
-        doc["generator"] = generator
-    return doc
 
 
 def _bad(**fields):
@@ -260,8 +275,11 @@ class TestConfigMessages:
              "configs[1].curve[2]: integer too large for a float (config id 9)"),
             (_bad(curve=[0.9, math.inf, 0.3]), "configs[1].curve: non-finite value (config id 9)"),
             (_bad(curve=[math.nan, 0.5, 0.3]), "configs[1].curve: non-finite value (config id 9)"),
-            # a config's checks run in order: its values before its curve
+            # the table checks bounds and finiteness once the loader has read
+            # every config, and within a config its values before its curve
             (_bad(values=[2.0, 2], curve=[0.9]),
+             "configs[1].curve: expected length b_max=3, got 1 (config id 9)"),
+            (_bad(values=[2.0, 2], curve=[0.9, math.nan, 0.3]),
              "configs[1].values[0]: value 2.0 outside bounds [0.0, 1.0] (config id 9)"),
         ],
     )
@@ -270,36 +288,31 @@ class TestConfigMessages:
             load_benchmark(_write(tmp_path, _table_with(bad)))
         assert str(exc.value) == message
 
+    def test_shape_faults_reported_before_bounds(self, tmp_path):
+        # the loader reads every config before the table checks its values
+        doc = _table_with(_bad(values=[1.5, 2]), n_configs=5)
+        doc["configs"][3]["curve"] = [0.9]
+        with pytest.raises(BenchmarkFormatError) as exc:
+            load_benchmark(_write(tmp_path, doc))
+        assert str(exc.value) == "configs[3].curve: expected length b_max=3, got 1 (config id 13)"
+
     @pytest.mark.parametrize(
-        "generator, message",
+        "bad, message",
         [
-            ([], "generator: must be an object"),
-            ({"coefficients": [[0.1, 0.5, 1.0]] * 2},
-             "generator.coefficients: must list one [alpha, beta, gamma] per config"),
-            ({"coefficients": [[0.1, 0.5, 1.0], [0.1, 0.5], [0.1, 0.5, 1.0]]},
-             "generator.coefficients[1]: must be [alpha, beta, gamma]"),
-            ({"coefficients": [[0.1, 0.5, 1.0], [0.1, 0.5, "x"], [0.1, 0.5, 1.0]]},
-             "generator.coefficients[1][2]: must be a number, got 'x'"),
-            ({"coefficients": [[0.1, 0.5, 1.0], [0.1, 10**400, 1.0], [0.1, 0.5, 1.0]]},
-             "generator.coefficients[1][1]: integer too large for a float"),
-            # JSON NaN and Infinity parse as floats, so they pass the number rule
-            ({"coefficients": [[0.1, 0.5, 1.0], [0.1, math.nan, 1.0], [0.1, 0.5, 1.0]]},
-             "generator.coefficients[1]: non-finite value"),
-            ({"coefficients": [[0.1, 0.5, 1.0], [0.1, 0.5, 1.0], [-math.inf, 0.5, 1.0]]},
-             "generator.coefficients[2]: non-finite value"),
-            ({}, "generator.coefficients: missing"),
-            ({"coefficients": {"0": [0.1, 0.5, 1.0]}}, "generator.coefficients: must be a list"),
+            (_bad(curve=[0.9]), "configs[1].curve: expected length b_max=3, got 1 (config id 9)"),
+            (_bad(id=10), "metric: must be 'loss' or 'accuracy', got 'acc'"),
         ],
     )
-    def test_full_generator_message(self, tmp_path, generator, message):
-        doc = _table_with(_good_config(9), generator=generator)
+    def test_metric_checked_after_configs(self, tmp_path, bad, message):
+        doc = _table_with(bad)
+        doc["metric"] = "acc"
         with pytest.raises(BenchmarkFormatError) as exc:
             load_benchmark(_write(tmp_path, doc))
         assert str(exc.value) == message
 
     def test_first_failing_config_is_named(self, tmp_path):
         doc = _table_with(_bad(values=[1.5, 2]), n_configs=5)
-        doc["configs"][3]["curve"] = [0.9]
+        doc["configs"][3]["curve"] = [0.9, math.inf, 0.3]
         with pytest.raises(BenchmarkFormatError) as exc:
             load_benchmark(_write(tmp_path, doc))
         assert str(exc.value) == (
@@ -325,6 +338,8 @@ class TestDocumentMessages:
         [
             (_without(["name"]), "name: missing"),
             (_without(["metric"]), "metric: missing"),
+            (lambda doc: doc.update(metric="acc"),
+             "metric: must be 'loss' or 'accuracy', got 'acc'"),
             (_without(["b_max"]), "b_max: missing"),
             (_without(["hyperparameters"]), "hyperparameters: missing"),
             (_without(["configs"]), "configs: missing"),
@@ -454,13 +469,16 @@ class TestOracleAndRegret:
 
 
 class TestGenerateSynthetic:
-    def test_round_trip_against_stored_coefficients(self):
-        table = generate_synthetic(seed=3, n_configs=20, hp_dim=2, b_max=15, noise_std=0.0)
-        steps = np.arange(1, 16, dtype=float)
-        for i in range(20):
-            a, b_, g = table.generator_coefficients[i]
-            regen = a + b_ * steps ** (-g)
-            assert np.array_equal(regen, table.loss_curves[i])
+    def test_noiseless_curves_are_power_laws(self):
+        # for a + b * s^-g the drops over steps s, 2s, 4s, 8s shrink by 2^-g
+        # each, so d1 * d3 == d2^2 and g == log2(d1 / d2)
+        table = generate_synthetic(seed=3, n_configs=20, hp_dim=2, b_max=24, noise_std=0.0)
+        for s in (1, 2, 3):
+            y = table.loss_curves[:, [s - 1, 2 * s - 1, 4 * s - 1, 8 * s - 1]]
+            d1, d2, d3 = (y[:, :-1] - y[:, 1:]).T
+            np.testing.assert_allclose(d1 * d3, d2**2, rtol=1e-9)
+            gamma = np.log2(d1 / d2)
+            assert np.all((SYNTH_GAMMA_RANGE[0] < gamma) & (gamma < SYNTH_GAMMA_RANGE[1]))
 
     def test_same_seed_identical(self):
         a = generate_synthetic(seed=9, n_configs=10, hp_dim=2, b_max=5, noise_std=0.01)
@@ -515,20 +533,17 @@ class TestGenerateSynthetic:
         path = tmp_path_factory.mktemp("synth") / "t.json"
         save_benchmark(table, path)
         loaded = load_benchmark(path)
-        for name in ("raw_values", "raw_curves", "loss_curves", "scaled_values",
-                     "generator_coefficients"):
-            assert np.array_equal(getattr(table, name), getattr(loaded, name)), name
-        for name in ("name", "metric_direction", "b_max", "bounds", "hp_names", "config_ids"):
-            assert getattr(table, name) == getattr(loaded, name), name
+        _assert_same_table(table, loaded)
         assert all(type(cid) is int for cid in table.config_ids + loaded.config_ids)
 
     def test_views_derive_from_the_stored_fields(self, tiny_table):
-        # loss_curves and scaled_values are computed, never passed in
-        flipped = dataclasses.replace(tiny_table, metric_direction="accuracy",
-                                      bounds=((0.0, 2.0), (0.5, 0.5)))
-        assert np.array_equal(flipped.loss_curves, 1.0 - tiny_table.raw_curves)
-        assert np.array_equal(flipped.scaled_values[:, 0], tiny_table.raw_values[:, 0] / 2.0)
-        assert np.all(flipped.scaled_values[:, 1] == 0.0)
+        # scaled_values is computed, never passed in
+        values = tiny_table.raw_values.copy()
+        values[:, 1] = 0.5
+        rescaled = dataclasses.replace(tiny_table, raw_values=values,
+                                       bounds=((0.0, 2.0), (0.5, 0.5)))
+        assert np.array_equal(rescaled.scaled_values[:, 0], values[:, 0] / 2.0)
+        assert np.all(rescaled.scaled_values[:, 1] == 0.0)
         with pytest.raises(TypeError):
             BenchmarkTable(**{f.name: getattr(tiny_table, f.name)
                               for f in dataclasses.fields(BenchmarkTable)})
@@ -541,6 +556,14 @@ class TestGenerateSynthetic:
 
 
 _SIX = generate_synthetic(seed=0, n_configs=6, hp_dim=2, b_max=4)
+
+
+def _six_with(name, *entries):
+    """A copy of ``_SIX``'s array ``name`` with each ``(row, column, value)`` set."""
+    arr = getattr(_SIX, name).copy()
+    for row, col, value in entries:
+        arr[row, col] = value
+    return arr
 
 
 class TestTableRules:
@@ -557,9 +580,9 @@ class TestTableRules:
             ({"config_ids": (0, 0, 1, 2, 3, 4)}, "configs[1].id: duplicate config id 0"),
             ({"config_ids": (0, 1, 2, 3, 4)}, "raw_values: must have shape (5, 2), got (6, 2)"),
             # a short curve used to raise IndexError in evaluate at the last step
-            ({"raw_curves": _SIX.raw_curves[:, :3]},
-             "raw_curves: must have shape (6, 4), got (6, 3)"),
-            ({"b_max": 5}, "raw_curves: must have shape (6, 5), got (6, 4)"),
+            ({"loss_curves": _SIX.loss_curves[:, :3]},
+             "loss_curves: must have shape (6, 4), got (6, 3)"),
+            ({"b_max": 5}, "loss_curves: must have shape (6, 5), got (6, 4)"),
             # a float b_max used to build and then fail every curve lookup
             ({"b_max": 4.0}, "b_max: must be an integer, got 4.0"),
             ({"raw_values": _SIX.raw_values[:, :1]},
@@ -570,16 +593,31 @@ class TestTableRules:
             ({"bounds": ((0.0, 1.0), (0.0,))}, "bounds: must have shape (2, 2), got a ragged nesting"),
             # a list used to build as far as setflags, then raise AttributeError
             ({"raw_values": _SIX.raw_values.tolist()}, "raw_values: must be a float64 array, got list"),
-            ({"raw_curves": _SIX.raw_curves.tolist()}, "raw_curves: must be a float64 array, got list"),
+            ({"loss_curves": _SIX.loss_curves.tolist()},
+             "loss_curves: must be a float64 array, got list"),
             # an integer array used to fail the scaling's in-place divide with a TypeError
             ({"raw_values": np.ones((6, 2), dtype=int)},
              "raw_values: must be a float64 array, got int64 array"),
-            ({"generator_coefficients": _SIX.generator_coefficients.tolist()},
-             "generator.coefficients: must be a float64 array, got list"),
-            ({"generator_coefficients": _SIX.generator_coefficients[:5]},
-             "generator.coefficients: must list one [alpha, beta, gamma] per config"),
-            # an unknown metric used to be read as loss
-            ({"metric_direction": "acc"}, "metric: must be 'loss' or 'accuracy', got 'acc'"),
+            # a NaN curve entry used to build; a forecast then reported a NaN
+            # error and a run failed on its regret scale
+            ({"loss_curves": _six_with("loss_curves", (2, 1, math.nan))},
+             "configs[2].curve: non-finite value (config id 2)"),
+            ({"loss_curves": _six_with("loss_curves", (5, 3, -math.inf))},
+             "configs[5].curve: non-finite value (config id 5)"),
+            # an out-of-bounds value used to build and scale past 1
+            ({"raw_values": _six_with("raw_values", (4, 1, 7.0))},
+             "configs[4].values[1]: value 7.0 outside bounds [0.0, 1.0] (config id 4)"),
+            ({"raw_values": _six_with("raw_values", (0, 0, -0.5), (0, 1, math.nan))},
+             "configs[0].values[0]: value -0.5 outside bounds [0.0, 1.0] (config id 0)"),
+            ({"raw_values": _six_with("raw_values", (3, 1, math.nan))},
+             "configs[3].values[1]: value nan outside bounds [0.0, 1.0] (config id 3)"),
+            # the first bad config is named; within one, its values first
+            ({"raw_values": _six_with("raw_values", (3, 0, 2.0)),
+              "loss_curves": _six_with("loss_curves", (1, 0, math.nan))},
+             "configs[1].curve: non-finite value (config id 1)"),
+            ({"raw_values": _six_with("raw_values", (1, 0, 2.0)),
+              "loss_curves": _six_with("loss_curves", (1, 0, math.nan))},
+             "configs[1].values[0]: value 2.0 outside bounds [0.0, 1.0] (config id 1)"),
         ],
     )
     def test_bad_field_rejected_on_construction(self, changes, message):
@@ -587,9 +625,45 @@ class TestTableRules:
             dataclasses.replace(_SIX, **changes)
         assert str(info.value) == message
 
-    def test_negative_ids_and_no_generator_accepted(self):
-        table = dataclasses.replace(_SIX, config_ids=(-3, 7, 0, -1, 2, 5),
-                                    generator_coefficients=None)
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(data=st.data(), n_configs=st.integers(1, 6), hp_dim=st.integers(1, 3),
+           b_max=st.integers(1, 4))
+    def test_value_checks_match_per_config_loop(self, data, n_configs, hp_dim, b_max):
+        # the table's whole-array checks name the same first fault as the
+        # loader's former loop, which checked each config's values, then its curve
+        def rows(width, entries):
+            return data.draw(st.lists(st.lists(st.sampled_from(entries), min_size=width,
+                                               max_size=width),
+                                      min_size=n_configs, max_size=n_configs))
+
+        bounds = tuple(data.draw(st.sampled_from([(0.0, 1.0), (0.25, 0.25), (-5e-324, 3.0)]))
+                       for _ in range(hp_dim))
+        values = rows(hp_dim, [0.0, -0.0, 0.25, 1.0, 3.0, -5e-324, 1.0000000000000002, 7.0,
+                               math.nan, math.inf, -math.inf])
+        curves = rows(b_max, [0.5, -1e308, math.nan, math.inf])
+        ids = tuple(range(5, 5 + n_configs))
+        expected = None
+        for i, (vals, curve) in enumerate(zip(values, curves)):
+            for j, (v, (lo, hi)) in enumerate(zip(vals, bounds)):
+                if expected is None and not lo <= v <= hi:
+                    expected = (f"configs[{i}].values[{j}]: value {v} outside bounds"
+                                f" [{lo}, {hi}] (config id {ids[i]})")
+            if expected is None and not all(map(math.isfinite, curve)):
+                expected = f"configs[{i}].curve: non-finite value (config id {ids[i]})"
+        build = functools.partial(
+            BenchmarkTable, name="t", b_max=b_max, hp_names=tuple("abc"[:hp_dim]),
+            bounds=bounds, config_ids=ids, raw_values=np.array(values),
+            loss_curves=np.array(curves),
+        )
+        if expected is None:
+            build()
+        else:
+            with pytest.raises(BenchmarkFormatError) as info:
+                build()
+            assert str(info.value) == expected
+
+    def test_negative_ids_accepted(self):
+        table = dataclasses.replace(_SIX, config_ids=(-3, 7, 0, -1, 2, 5))
         assert [table.index_of(cid) for cid in (-3, 7, 0, -1, 2, 5)] == list(range(6))
 
 

@@ -54,8 +54,8 @@ class TestSynth:
 
     # the two benchmark tables: seed, configs, b_max (noise 0.01) -> SHA-256 of the file
     PINNED_TABLES = [
-        (42, 200, 12, "32d887ddf8e2487b00b9c73df3743b6b568874276ffe9b8978308783d1f6a2eb"),
-        (606, 10, 25, "354493891ee638c84692fc5b0fa73be91179efcedcc14b8ae47e96dd25f5a411"),
+        (42, 200, 12, "66070d40c690c0fb0edc948cee68af86a39421a0197c9b03a5ead9bb01c45b4c"),
+        (606, 10, 25, "e847dff643232b17edf32b6d11e30e40f5169fc07d7d829931b73b93d5408852"),
     ]
 
     @pytest.mark.parametrize("seed, configs, b_max, digest", PINNED_TABLES)
@@ -197,6 +197,19 @@ class TestRun:
         ])
         assert code == 3
         assert f"configs[0].{field}[" in capsys.readouterr().err
+
+    def test_unknown_metric_exits_3(self, tmp_path, capsys):
+        bad = _write_benchmark(tmp_path / "bad.json", "x", [[0.9, 0.4], [0.8, 0.3]])
+        bad.write_text(bad.read_text(encoding="utf-8").replace('"loss"', '"acc"'),
+                       encoding="utf-8")
+        code = main([
+            "run", "--benchmarks", str(bad), "--methods", "rs", "--seeds", "0",
+            "--out", str(tmp_path / "o"),
+        ])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: metric: must be 'loss' or 'accuracy', got 'acc'\n"
+        )
 
     @pytest.mark.parametrize("lo, hi", [(-math.inf, math.inf), (-1.7e308, 1.7e308)])
     def test_infinite_bounds_exit_3(self, tmp_path, capsys, lo, hi):

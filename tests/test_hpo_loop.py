@@ -258,7 +258,7 @@ class TestRunContext:
     )
     def test_unnormalizable_regret_rejected(self, curves, message):
         table = generate_synthetic(seed=0, n_configs=len(curves), hp_dim=1, b_max=2)
-        table = dataclasses.replace(table, raw_curves=np.array(curves))
+        table = dataclasses.replace(table, loss_curves=np.array(curves))
         with pytest.raises(BenchmarkFormatError, match=f"^benchmark '{table.name}' .*{message}"):
             regret_span(table)
         with pytest.raises(BenchmarkFormatError, match=message):

@@ -103,10 +103,11 @@ class BenchmarkTable:
 
     ``scaled_values`` is derived from the other fields on construction.
     Construction also checks, for a table built in code as for a loaded
-    one, each id (an ``int`` that no earlier config holds), ``b_max`` (an
-    ``int`` >= 1), that the curves and values are float64 numpy arrays,
-    that the shapes of those and of ``bounds`` agree with ``hp_names``,
-    ``b_max`` and the number of configs, that each value lies within its
+    one, that there is a config, each id (an ``int`` that no earlier config
+    holds), ``b_max`` (an ``int`` >= 1), that the curves and values are
+    float64 numpy arrays, that the shapes of those and of ``bounds`` agree
+    with ``hp_names``, ``b_max`` and the number of configs, that each bound
+    pair has min <= max and a finite span, that each value lies within its
     bounds and that each curve entry is finite.
     """
 
@@ -120,6 +121,7 @@ class BenchmarkTable:
     scaled_values: np.ndarray = dataclass_field(init=False)  # (n, hp_dim), min-max scaled
 
     def __post_init__(self):
+        require(self.n_configs > 0, "configs", "must not be empty")
         index = {}
         for i, cid in enumerate(self.config_ids):
             count(cid, f"configs[{i}].id", floor=-math.inf)  # an id may be negative
@@ -139,6 +141,13 @@ class BenchmarkTable:
             except ValueError:  # numpy gives a ragged nesting no shape
                 got = "a ragged nesting"
             require(got == shape, name, f"must have shape {shape}, got {got}")
+        for j, (lo, hi) in enumerate(self.bounds):
+            path, lo, hi = f"hyperparameters[{j}]", float(lo), float(hi)
+            require(lo <= hi, path, f"must have min <= max, got ({lo!r}, {hi!r})")
+            # scaling divides by the span, so an infinite bound or an
+            # overflowing span would turn every scaled value into NaN or 0.0
+            require(math.isfinite(hi - lo), path,
+                    f"bounds and max - min must be finite, got ({lo!r}, {hi!r})")
         lo, hi = np.array(self.bounds).T
         values = self.raw_values
         # the first config with a value outside its bounds (NaN included) or
@@ -189,8 +198,6 @@ def evaluate(table: BenchmarkTable, config_id: int, budget: int) -> float:
 
 def oracle(table: BenchmarkTable) -> float:
     """Global minimum loss over all configurations and budgets."""
-    if table.n_configs == 0:
-        raise ValueError("empty table")
     return float(table.loss_curves.min())
 
 
@@ -209,18 +216,12 @@ def _as_table(doc: dict, source: str) -> BenchmarkTable:
         require(isinstance(field(hp, "name", path), str), f"{path}.name", "must be a string")
         lo = number(field(hp, "min", path), f"{path}.min")
         hi = number(field(hp, "max", path), f"{path}.max")
-        require(lo <= hi, path, f"must have min <= max, got ({lo!r}, {hi!r})")
-        # scaling divides by the span, so an infinite bound or an
-        # overflowing span would turn every scaled value into NaN or 0.0
-        require(math.isfinite(hi - lo), path,
-                 f"bounds and max - min must be finite, got ({lo!r}, {hi!r})")
         names.append(hp["name"])
         bounds.append((lo, hi))
 
     configs = field(doc, "configs", kind=list)
-    require(configs, "configs", "must not be empty")
-    # the checks below run once per config, so each formats its message
-    # only when it fails; BenchmarkTable checks the ids, bounds and finiteness
+    # the checks below run once per config, so each formats its message only
+    # when it fails; BenchmarkTable checks emptiness, ids, bounds and finiteness
     ids, values, curves = [], [], []
     for i, cfg in enumerate(configs):
         path = f"configs[{i}]"

@@ -1,8 +1,8 @@
 """Probabilistic power-law surrogate: an ensemble of small networks whose
 heads emit power-law coefficients, plus the fit/refine/restart schedule.
 
-Budgets entering this module are already normalized to (0, 1]; the network
-body sees only the (scaled) hyperparameter vector, never the budget.
+Budgets entering this module are already normalized to (0, 1]; a DPL member's
+body sees only the (scaled) hyperparameter vector, its head the budget.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .neural_core import (
 
 HIDDEN_WIDTH = 128
 N_HIDDEN_LAYERS = 2
-RAW_HEAD_WIDTH = 5  # alpha, (beta, beta-gate), (gamma, gamma-gate)
 DEFAULT_ENSEMBLE_SIZE = 5
 
 
@@ -143,12 +142,31 @@ def _power_law_head_backward(cache, d_pred: np.ndarray) -> np.ndarray:
     return d_raw
 
 
+def _linear_head(raw: np.ndarray, b_norm: np.ndarray):
+    """The single raw unit is the prediction; the budget entered as an input."""
+    return raw[:, 0], None
+
+
+def _linear_head_backward(cache, d_pred: np.ndarray) -> np.ndarray:
+    return d_pred[:, None]
+
+
 class DplNetwork:
     """One ensemble member: dense body conditioned on the configuration,
-    with a power-law head combining the raw outputs with the budget."""
+    with a power-law head combining the raw outputs with the budget.  A
+    member type sets only its head, its widths and its input builder."""
+
+    HEAD_WIDTH = 5  # alpha, (beta, beta-gate), (gamma, gamma-gate)
+    BUDGET_INPUTS = 0
+    _head = staticmethod(_power_law_head)
+    _head_backward = staticmethod(_power_law_head_backward)
+
+    def _inputs(self, configs: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return configs
 
     def __init__(self, hp_dim: int, seed, hidden_width: int = HIDDEN_WIDTH):
-        dims = (int(hp_dim),) + (hidden_width,) * N_HIDDEN_LAYERS + (RAW_HEAD_WIDTH,)
+        dims = ((int(hp_dim) + self.BUDGET_INPUTS,) + (hidden_width,) * N_HIDDEN_LAYERS
+                + (self.HEAD_WIDTH,))
         self.body = DenseNetwork.create(dims, seed)
         # optimizing the whole network as one flat vector keeps updates cheap
         self.adam = AdamState.for_params(self.body.flat_params)
@@ -160,23 +178,22 @@ class DplNetwork:
 
     def predict(self, configs: np.ndarray, b_norm) -> np.ndarray:
         configs, b = _rows_and_budgets(configs, b_norm)
-        raw, _ = forward(self.body, configs)
+        raw, _ = forward(self.body, self._inputs(configs, b))
         with np.errstate(over="ignore", invalid="ignore"):
-            pred, _ = _power_law_head(raw, b)
+            pred, _ = self._head(raw, b)
         return pred
 
     def train_batch(self, data: TrainingData, idx: np.ndarray) -> float:
         """One Adam step on the L1 loss over a batch; returns the batch loss."""
-        x = data.configs[idx]
         b = data.budgets[idx]
         y = data.losses[idx]
-        raw, cache = forward(self.body, x)
+        raw, cache = forward(self.body, self._inputs(data.configs[idx], b))
         with np.errstate(over="ignore", invalid="ignore"):
-            pred, head_cache = _power_law_head(raw, b)
+            pred, head_cache = self._head(raw, b)
             loss, d_pred = l1_loss(pred, y)
             if not math.isfinite(loss):
                 return loss
-            d_raw = _power_law_head_backward(head_cache, d_pred)
+            d_raw = self._head_backward(head_cache, d_pred)
         backward(self.body, cache, d_raw, out=self._grad)
         adam_step(self.body.flat_params, self._grad.flat_params, self.adam)
         return loss
@@ -187,46 +204,20 @@ class DplNetwork:
             return l1_loss(pred, data.losses)[0]
 
 
-class ConditionedNetwork:
+class ConditionedNetwork(DplNetwork):
     """Ablation variant: plain regression on (config, budget) with a linear
     output and no power-law structure.  Trained with the same schedule."""
 
-    def __init__(self, hp_dim: int, seed, hidden_width: int = HIDDEN_WIDTH):
-        self.hp_dim = int(hp_dim)
-        dims = (self.hp_dim + 1,) + (hidden_width,) * N_HIDDEN_LAYERS + (1,)
-        self.body = DenseNetwork.create(dims, seed)
-        self.adam = AdamState.for_params(self.body.flat_params)
-        self._grad = DenseNetwork.zeros(self.body.layer_dims)
+    HEAD_WIDTH = 1
+    BUDGET_INPUTS = 1
+    _head = staticmethod(_linear_head)
+    _head_backward = staticmethod(_linear_head_backward)
 
-    def _stack(self, configs: np.ndarray, b: np.ndarray) -> np.ndarray:
-        configs = np.atleast_2d(np.asarray(configs, dtype=float))
-        if configs.shape[1] != self.hp_dim:
-            raise ValueError(
-                f"expected config dimension {self.hp_dim} (budget is appended "
-                f"internally), got {configs.shape[1]}"
-            )
+    def _inputs(self, configs: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.column_stack([configs, b])
 
-    def predict(self, configs: np.ndarray, b_norm) -> np.ndarray:
-        configs, b = _rows_and_budgets(configs, b_norm)
-        out, _ = forward(self.body, self._stack(configs, b))
-        return out[:, 0]
-
-    def train_batch(self, data: TrainingData, idx: np.ndarray) -> float:
-        x = self._stack(data.configs[idx], data.budgets[idx])
-        y = data.losses[idx]
-        out, cache = forward(self.body, x)
-        loss, d_pred = l1_loss(out[:, 0], y)
-        if not math.isfinite(loss):
-            return loss
-        backward(self.body, cache, d_pred[:, None], out=self._grad)
-        adam_step(self.body.flat_params, self._grad.flat_params, self.adam)
-        return loss
-
-    def full_loss(self, data: TrainingData) -> float:
-        pred = self.predict(data.configs, data.budgets)
-        with np.errstate(invalid="ignore"):
-            return l1_loss(pred, data.losses)[0]
+    # the benchmark's tracer hooks these in each member class's own __dict__
+    train_batch, full_loss = DplNetwork.train_batch, DplNetwork.full_loss
 
 
 def member_init_seed(ensemble_seed: int, member_index: int, init_round: int) -> list[int]:

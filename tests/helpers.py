@@ -1,4 +1,5 @@
-"""Shared test utilities: finite-difference and reference-fit oracles, error metrics."""
+"""Shared test utilities: finite-difference, reference-fit and reference-member
+oracles, error metrics."""
 
 from __future__ import annotations
 
@@ -7,7 +8,14 @@ import math
 import numpy as np
 
 from powerlaw_hpo.curve_models import FitResult, PowerLawCoefficients, _initial_guess
-from powerlaw_hpo.neural_core import AdamState, DenseNetwork, adam_step, backward, forward
+from powerlaw_hpo.neural_core import (
+    AdamState,
+    DenseNetwork,
+    adam_step,
+    backward,
+    forward,
+    l1_loss,
+)
 from powerlaw_hpo.surrogate import _power_law_head, _power_law_head_backward
 
 
@@ -41,6 +49,50 @@ def dpl_analytic_gradient(member, x, b, y) -> np.ndarray:
     d_raw = _power_law_head_backward(head_cache, d_pred)
     bundle = backward(member.body, cache, d_raw, out=DenseNetwork.zeros(member.body.layer_dims))
     return bundle.flat_params
+
+
+def reference_dpl_step(body, adam, grad, data, idx) -> float:
+    """Bit-identity oracle for ``DplNetwork.train_batch``, as the power-law
+    member's step was written before both member types shared one: forward,
+    power-law head, L1 loss, head backward, backward into ``grad``, Adam."""
+    x = data.configs[idx]
+    b = data.budgets[idx]
+    y = data.losses[idx]
+    raw, cache = forward(body, x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        pred, head_cache = _power_law_head(raw, b)
+        loss, d_pred = l1_loss(pred, y)
+        if not math.isfinite(loss):
+            return loss
+        d_raw = _power_law_head_backward(head_cache, d_pred)
+    backward(body, cache, d_raw, out=grad)
+    adam_step(body.flat_params, grad.flat_params, adam)
+    return loss
+
+
+def reference_conditioned_step(body, adam, grad, data, idx) -> float:
+    """Bit-identity oracle for ``ConditionedNetwork.train_batch``, as first
+    written: the budget appended as the last input column, the single output
+    unit as the prediction, its gradient as a one-column output gradient."""
+    x = np.column_stack([data.configs[idx], data.budgets[idx]])
+    y = data.losses[idx]
+    out, cache = forward(body, x)
+    loss, d_pred = l1_loss(out[:, 0], y)
+    if not math.isfinite(loss):
+        return loss
+    backward(body, cache, d_pred[:, None], out=grad)
+    adam_step(body.flat_params, grad.flat_params, adam)
+    return loss
+
+
+def reference_dpl_predict(body, configs, b) -> np.ndarray:
+    raw, _ = forward(body, configs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _power_law_head(raw, b)[0]
+
+
+def reference_conditioned_predict(body, configs, b) -> np.ndarray:
+    return forward(body, np.column_stack([configs, b]))[0][:, 0]
 
 
 def max_relative_error(analytic: np.ndarray, numeric: np.ndarray, floor: float = 1e-4) -> float:

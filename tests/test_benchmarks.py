@@ -310,6 +310,28 @@ class TestConfigMessages:
             load_benchmark(_write(tmp_path, doc))
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("bound", [{"min": 2, "max": 1}, {"max": math.inf}])
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: doc["configs"][1].update(curve=[0.9]),
+             "configs[1].curve: expected length b_max=3, got 1 (config id 11)"),
+            (lambda doc: doc.update(metric="acc"),
+             "metric: must be 'loss' or 'accuracy', got 'acc'"),
+            (lambda doc: doc.update(configs=[]), "configs: must not be empty"),
+            (lambda doc: doc["configs"][1].update(id=10), "configs[1].id: duplicate config id 10"),
+        ],
+    )
+    def test_bounds_checked_by_the_table(self, tmp_path, bound, edit, message):
+        # the table checks bound pairs after the loader has read every config
+        # and the metric, and after its own emptiness and id checks
+        doc = _table_with(_good_config(11))
+        doc["hyperparameters"][0].update(bound)
+        edit(doc)
+        with pytest.raises(BenchmarkFormatError) as exc:
+            load_benchmark(_write(tmp_path, doc))
+        assert str(exc.value) == message
+
     def test_first_failing_config_is_named(self, tmp_path):
         doc = _table_with(_bad(values=[1.5, 2]), n_configs=5)
         doc["configs"][3]["curve"] = [0.9, math.inf, 0.3]
@@ -589,6 +611,31 @@ class TestTableRules:
              "raw_values: must have shape (6, 2), got (6, 1)"),
             ({"hp_names": ("x0",)}, "bounds: must have shape (1, 2), got (2, 2)"),
             ({"bounds": ((0.0, 1.0),) * 3}, "bounds: must have shape (2, 2), got (3, 2)"),
+            # the loader's bound rules; an infinite bound or span used to
+            # build with every scaled value of that column 0.0
+            ({"bounds": ((0.0, math.inf), (0.0, 1.0))},
+             "hyperparameters[0]: bounds and max - min must be finite, got (0.0, inf)"),
+            ({"bounds": ((0.0, 1.0), (-1e308, 1e308))},
+             "hyperparameters[1]: bounds and max - min must be finite, got (-1e+308, 1e+308)"),
+            # reversed bounds used to be reported as a value outside them
+            ({"bounds": ((1.0, 0.0), (0.0, 1.0))},
+             "hyperparameters[0]: must have min <= max, got (1.0, 0.0)"),
+            ({"bounds": ((0.0, 1.0), (np.float64(1.0), np.float64(0.5)))},
+             "hyperparameters[1]: must have min <= max, got (1.0, 0.5)"),
+            ({"bounds": ((math.nan, 1.0), (0.0, 1.0))},
+             "hyperparameters[0]: must have min <= max, got (nan, 1.0)"),
+            # bounds are checked after the shapes, before the values
+            ({"bounds": ((1.0, 0.0), (0.0, 1.0)), "b_max": 5},
+             "loss_curves: must have shape (6, 5), got (6, 4)"),
+            ({"bounds": ((0.0, 1.0), (0.0, 0.5)),
+              "raw_values": _six_with("raw_values", (0, 0, 2.0))},
+             "configs[0].values[0]: value 2.0 outside bounds [0.0, 1.0] (config id 0)"),
+            # an empty table used to build, and RunContext then raised numpy's
+            # "zero-size array to reduction operation minimum"
+            ({"config_ids": (), "raw_values": np.zeros((0, 2)), "loss_curves": np.zeros((0, 4))},
+             "configs: must not be empty"),
+            # emptiness comes first, before the shapes it would also break
+            ({"config_ids": ()}, "configs: must not be empty"),
             # a ragged pair used to raise numpy's own ValueError (inhomogeneous shape)
             ({"bounds": ((0.0, 1.0), (0.0,))}, "bounds: must have shape (2, 2), got a ragged nesting"),
             # a list used to build as far as setflags, then raise AttributeError
@@ -620,6 +667,7 @@ class TestTableRules:
              "configs[1].values[0]: value 2.0 outside bounds [0.0, 1.0] (config id 1)"),
         ],
     )
+    @pytest.mark.filterwarnings("error")  # no numpy overflow warning on the way
     def test_bad_field_rejected_on_construction(self, changes, message):
         with pytest.raises(BenchmarkFormatError) as info:
             dataclasses.replace(_SIX, **changes)

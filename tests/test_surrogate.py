@@ -4,10 +4,10 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from powerlaw_hpo.neural_core import forward
+from powerlaw_hpo.neural_core import AdamState, DenseNetwork, forward, l1_loss
 from powerlaw_hpo.surrogate import (
     ConditionedNetwork,
     DplEnsemble,
@@ -22,7 +22,14 @@ from powerlaw_hpo.surrogate import (
     train_member_epochs,
 )
 
-from helpers import max_relative_error
+from helpers import (
+    max_relative_error,
+    numeric_gradient,
+    reference_conditioned_predict,
+    reference_conditioned_step,
+    reference_dpl_predict,
+    reference_dpl_step,
+)
 
 
 def _power_law_data(seed=1, n_configs=6, budgets=(0.25, 0.5, 0.75, 1.0)):
@@ -104,6 +111,85 @@ class TestHeadGradient:
                 numeric[j] = (_power_law_head(up, b)[0] - _power_law_head(down, b)[0])[0] / (2 * h)
             worst = max(worst, max_relative_error(analytic, numeric))
         assert worst < 1e-5
+
+
+# per member type: the input columns beyond the configs, the head width,
+# and the reference training step and prediction
+_REFERENCES = {
+    DplNetwork: (0, 5, reference_dpl_step, reference_dpl_predict),
+    ConditionedNetwork: (1, 1, reference_conditioned_step, reference_conditioned_predict),
+}
+
+
+def _same(a, b) -> bool:
+    return np.array_equal(a, b, equal_nan=True)
+
+
+class TestOneMemberImplementation:
+    def test_conditioned_member_shares_the_training_code(self):
+        # the rebinding keeps an entry in ConditionedNetwork's own __dict__
+        # for the tracer to hook, holding DplNetwork's function
+        for name in ("train_batch", "full_loss"):
+            assert ConditionedNetwork.__dict__[name] is DplNetwork.__dict__[name]
+
+    # a failure is reported unshrunk: shrinking these nested draws takes minutes
+    @settings(max_examples=60, derandomize=True, deadline=None, phases=[Phase.generate])
+    @given(
+        data=st.data(),
+        network=st.sampled_from([DplNetwork, ConditionedNetwork]),
+        hp_dim=st.integers(1, 3),
+        width=st.integers(2, 16),
+        n_rows=st.integers(1, 70),
+        seed=st.integers(0, 2**32),
+    )
+    def test_matches_reference_bit_for_bit(self, data, network, hp_dim, width, n_rows, seed):
+        budget_inputs, head_width, step, predict = _REFERENCES[network]
+        unit = st.floats(0.0, 1.0)
+        budget = st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True))
+        configs = data.draw(st.lists(st.lists(unit, min_size=hp_dim, max_size=hp_dim),
+                                     min_size=n_rows, max_size=n_rows))
+        budgets = data.draw(st.lists(budget, min_size=n_rows, max_size=n_rows))
+        losses = data.draw(st.lists(st.floats(0.0, 1.5), min_size=n_rows, max_size=n_rows))
+        if data.draw(st.booleans()):
+            losses[-1] = math.inf  # a batch holding this row skips its step
+        rows = TrainingData(configs=configs, budgets=budgets, losses=losses)
+        # repeated indices, as an oversampled refine batch holds
+        batches = data.draw(st.lists(
+            st.lists(st.integers(0, n_rows - 1), min_size=1, max_size=70).map(np.array),
+            min_size=1, max_size=5))
+
+        member = network(hp_dim, [seed], hidden_width=width)
+        dims = (hp_dim + budget_inputs, width, width, head_width)
+        assert member.body.layer_dims == dims
+        body = DenseNetwork.create(dims, [seed])
+        adam = AdamState.for_params(body.flat_params)
+        grad = DenseNetwork.zeros(dims)
+        for idx in batches:
+            assert _same(member.train_batch(rows, idx), step(body, adam, grad, rows, idx))
+            assert _same(member.body.flat_params, body.flat_params)
+            assert _same(member.adam.first_moment, adam.first_moment)
+            assert _same(member.adam.second_moment, adam.second_moment)
+            assert member.adam.step_count == adam.step_count
+        expected = predict(body, rows.configs, rows.budgets)
+        assert _same(member.predict(rows.configs, rows.budgets), expected)
+        with np.errstate(invalid="ignore"):
+            assert _same(member.full_loss(rows), l1_loss(expected, rows.losses)[0])
+
+    @pytest.mark.parametrize("network", [DplNetwork, ConditionedNetwork])
+    def test_train_batch_gradient_matches_finite_differences(self, network):
+        # the gradient train_batch hands to Adam, at the parameters before
+        # its step, against central differences of the same batch's loss
+        data = _power_law_data(n_configs=4)
+        idx = np.array([0, 5, 9, 14, 15, 15])  # the last row twice, as refine does
+        batch = TrainingData(configs=data.configs[idx], budgets=data.budgets[idx],
+                             losses=data.losses[idx])
+        member = network(2, seed=[4], hidden_width=6)
+        before = member.body.flat_params.copy()
+        member.train_batch(data, idx)
+        analytic = member._grad.flat_params.copy()
+        member.body.flat_params[...] = before
+        numeric = numeric_gradient(lambda: member.full_loss(batch), member.body.flat_params)
+        assert max_relative_error(analytic, numeric) < 1e-5
 
 
 class _FixedMember:
